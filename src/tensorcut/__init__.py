@@ -22,8 +22,6 @@ from .graph6 import Graph6Error, emit_graph6, load_graph6_file, parse_graph6, re
 from .graphs import (
     Edge,
     Graph,
-    GraphFamilySpec,
-    build,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -40,7 +38,6 @@ from .harness import (
     CHECK_NAMES,
     CampaignConfig,
     VerificationReport,
-    generate_corpus,
     load_config,
     parse_config,
     replay_certificate,

@@ -53,7 +53,7 @@ class _GraphReader:
             if self._stdin is None:
                 self._stdin = [l for l in sys.stdin.read().splitlines() if l.strip()]
             if self._used >= len(self._stdin):
-                raise SystemExit("not enough graph6 lines on standard input")
+                raise ValueError("not enough graph6 lines on standard input")
             line = self._stdin[self._used]
             self._used += 1
             return parse_graph6(line)
@@ -61,7 +61,7 @@ class _GraphReader:
             for line in fh:
                 if line.strip():
                     return parse_graph6(line)
-        raise SystemExit(f"no graph6 line found in {arg}")
+        raise ValueError(f"no graph6 line found in {arg}")
 
 
 def _emit(payload: dict) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable
 
 Edge = tuple[int, int]
 
@@ -206,70 +206,3 @@ def join(g: Graph, h: Graph) -> Graph:
     cross = {(u, g.n + w) for u in range(g.n) for w in range(h.n)}
     return Graph(base.n, set(base.edges) | cross)
 
-
-# ---------------------------------------------------------------------------
-# Declarative family specs, so corpora and CLI inputs can name constructions.
-
-Param = Union[int, "GraphFamilySpec"]
-
-_INT_KINDS = {
-    "Complete": 1,
-    "Cycle": 1,
-    "Path": 1,
-    "EmptyGraph": 1,
-    "CompleteBipartite": 2,
-    "Matching": 1,
-}
-_SPEC_KINDS = {"Join": 2, "DisjointUnion": 2}
-
-
-@dataclass(frozen=True)
-class GraphFamilySpec:
-    """Name of a construction plus its parameters.
-
-    Integer-parameter kinds: Complete, Cycle, Path, EmptyGraph,
-    CompleteBipartite, Matching.  Composite kinds Join and DisjointUnion take
-    two nested specs.
-    """
-
-    kind: str
-    params: tuple[Param, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind in _INT_KINDS:
-            arity = _INT_KINDS[self.kind]
-            if len(self.params) != arity or not all(
-                isinstance(p, int) and p > 0 for p in self.params
-            ):
-                raise ValueError(
-                    f"{self.kind} takes {arity} positive integer parameter(s)"
-                )
-        elif self.kind in _SPEC_KINDS:
-            if len(self.params) != 2 or not all(
-                isinstance(p, GraphFamilySpec) for p in self.params
-            ):
-                raise ValueError(f"{self.kind} takes two nested specs")
-        else:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-
-def build(spec: GraphFamilySpec) -> Graph:
-    """Materialize a family spec as a concrete graph."""
-    kind, params = spec.kind, spec.params
-    if kind == "Complete":
-        return complete_graph(params[0])
-    if kind == "Cycle":
-        return cycle_graph(params[0])
-    if kind == "Path":
-        return path_graph(params[0])
-    if kind == "EmptyGraph":
-        return empty_graph(params[0])
-    if kind == "CompleteBipartite":
-        return complete_bipartite_graph(params[0], params[1])
-    if kind == "Matching":
-        return matching_graph(params[0])
-    if kind == "Join":
-        return join(build(params[0]), build(params[1]))
-    if kind == "DisjointUnion":
-        return disjoint_union(build(params[0]), build(params[1]))
-    raise ValueError(f"unknown family kind {kind!r}")

@@ -13,7 +13,8 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterator, Optional, TextIO
+from functools import cached_property
+from typing import Optional, TextIO
 
 from .catalog import all_graphs, connected_graphs
 from .dense import (
@@ -30,7 +31,7 @@ from .dense import (
     kappa_formula_kn,
 )
 from .graph6 import emit_graph6, load_graph6_file, parse_graph6
-from .graphs import Graph, complete_graph
+from .graphs import Edge, Graph, complete_graph
 from .mincut import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -82,6 +83,8 @@ class CampaignConfig:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         if self.oracle not in ("maxflow", "subset"):
             raise ValueError("oracle must be 'maxflow' or 'subset'")
+        _parse_source(self.g_source)
+        _parse_source(self.h_source)
         ordered = tuple(c for c in CHECK_NAMES if c in self.checks)
         object.__setattr__(self, "checks", ordered)
 
@@ -102,7 +105,12 @@ def parse_config(text: str) -> CampaignConfig:
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
         if key in _INT_KEYS:
-            values[key] = int(val)
+            try:
+                values[key] = int(val)
+            except ValueError:
+                raise ValueError(
+                    f"config line {lineno}: {key} must be an integer, got {val!r}"
+                ) from None
         elif key in _STR_KEYS:
             values[key] = val
         elif key == "checks":
@@ -146,12 +154,10 @@ def _parse_source(src: str) -> tuple:
     if src == "enumerate":
         return ("enumerate",)
     if src.startswith("random:"):
-        parts = src.split(":")
-        if len(parts) == 2:
-            return ("random", int(parts[1]), None)
-        if len(parts) == 3:
-            return ("random", int(parts[1]), int(parts[2]))
-        raise ValueError(f"bad random source {src!r}")
+        parts = src.split(":")[1:]
+        if len(parts) > 2 or not all(p.isdecimal() for p in parts):
+            raise ValueError(f"bad random source {src!r}: expected random:COUNT[:MINDEG]")
+        return ("random", int(parts[0]), int(parts[1]) if len(parts) == 2 else None)
     return ("file", src)
 
 
@@ -210,25 +216,64 @@ def _h_corpus(config: CampaignConfig, dense_only: bool = True) -> list[Graph]:
     ]
 
 
-def generate_corpus(config: CampaignConfig) -> Iterator[tuple[int, Graph, Graph]]:
-    """Deterministic stream of (pair_id, g, h) with dense second factors."""
-    pid = 0
-    hs = _h_corpus(config, dense_only=True)
-    for g in _g_corpus(config):
-        for h in hs:
-            yield pid, g, h
-            pid += 1
-
-
 # ---------------------------------------------------------------------------
-# Per-pair checks.  Each returns a record dict with at least "status".
+# Per-pair context and checks.  Each check takes the pair's number within its
+# check and the pair's context, and returns a record dict with at least
+# "status".
 
-def _certificate(check: str, g: Graph, h: Graph, expected, observed,
+@dataclass
+class _Pair:
+    """One (G, H) pair and what its checks share, each computed once on use."""
+
+    g: Graph
+    h: Graph
+    config: CampaignConfig
+    cuts: Optional[tuple[frozenset[Edge], ...]] = None  # see _cached_enumeration
+
+    @cached_property
+    def product(self) -> Graph:
+        return direct_product(self.g, self.h)
+
+    @cached_property
+    def kappa(self) -> int:
+        """kappa'(G x H) by max-flow."""
+        return edge_connectivity(self.product).value
+
+    @cached_property
+    def oracle_kappa(self) -> Optional[int]:
+        """kappa'(G x H) by the configured oracle; None when over budget."""
+        if self.config.oracle == "maxflow":
+            return self.kappa
+        try:
+            return edge_connectivity_subset(
+                self.product, self.config.enumeration_budget).value
+        except BudgetExceeded:
+            return None
+
+    @cached_property
+    def subsets(self) -> int:
+        """C(|E|, kappa'): the subsets an exhaustive cut enumeration scans."""
+        return math.comb(len(self.product.edges), self.kappa)
+
+    @property
+    def enumerable(self) -> bool:
+        return self.subsets <= self.config.enumeration_budget
+
+
+def _cached_enumeration(pair: _Pair) -> tuple[frozenset[Edge], ...]:
+    """The pair's minimum cuts, enumerated by the first check that asks."""
+    if pair.cuts is None:
+        pair.cuts = enumerate_min_cuts(pair.product, pair.config.enumeration_budget).cuts
+    return pair.cuts
+
+
+def _certificate(pair: _Pair, check: str, expected, observed,
                  cut: Optional[str] = None) -> dict:
     cert = {
         "check": check,
-        "g": emit_graph6(g),
-        "h": emit_graph6(h),
+        "g": emit_graph6(pair.g),
+        "h": emit_graph6(pair.h),
+        "oracle": pair.config.oracle,
         "expected": expected,
         "observed": observed,
     }
@@ -237,19 +282,19 @@ def _certificate(check: str, g: Graph, h: Graph, expected, observed,
     return cert
 
 
-def _product_kappa(product: Graph, config: CampaignConfig) -> Optional[int]:
-    if config.oracle == "subset":
-        try:
-            return edge_connectivity_subset(product, config.enumeration_budget).value
-        except BudgetExceeded:
-            return None
-    return edge_connectivity(product).value
+def _settle(rec: dict, pair: _Pair, check: str, expected, observed) -> dict:
+    """Mark rec ok when observed equals expected, else a certified mismatch."""
+    if observed == expected:
+        rec["status"] = "ok"
+    else:
+        rec.update(status="mismatch",
+                   certificate=_certificate(pair, check, expected, observed))
+    return rec
 
 
-def _check_theorem1(pid: int, g: Graph, h: Graph, config: CampaignConfig,
-                    caches: dict) -> dict:
-    res = kappa_formula(g, h)
-    oracle = _product_kappa(direct_product(g, h), config)
+def _check_theorem1(pid: int, pair: _Pair) -> dict:
+    res = kappa_formula(pair.g, pair.h)
+    oracle = pair.oracle_kappa
     rec = {
         "formula": res.value,
         "branch": res.branch.value,
@@ -257,20 +302,15 @@ def _check_theorem1(pid: int, g: Graph, h: Graph, config: CampaignConfig,
     }
     if oracle is None:
         rec["status"] = "inconclusive"
-    elif oracle == res.value:
-        rec["status"] = "ok"
-    else:
-        rec["status"] = "mismatch"
-        rec["certificate"] = _certificate("theorem1", g, h, res.value, oracle)
-    return rec
+        return rec
+    return _settle(rec, pair, "theorem1", res.value, oracle)
 
 
-def _check_corollary1(pid: int, g: Graph, h: Graph, config: CampaignConfig,
-                      caches: dict) -> dict:
-    n = h.n
-    kn = kappa_formula_kn(g, n)
-    general = kappa_formula(g, h)
-    oracle = _product_kappa(direct_product(g, h), config)
+def _check_corollary1(pid: int, pair: _Pair) -> dict:
+    n = pair.h.n
+    kn = kappa_formula_kn(pair.g, n)
+    general = kappa_formula(pair.g, pair.h)
+    oracle = pair.oracle_kappa
     rec = {"n": n, "kn_value": kn.value, "formula": general.value, "oracle": oracle}
     if oracle is None:
         rec["status"] = "inconclusive"
@@ -279,112 +319,87 @@ def _check_corollary1(pid: int, g: Graph, h: Graph, config: CampaignConfig,
     else:
         rec["status"] = "mismatch"
         rec["certificate"] = _certificate(
-            "corollary1", g, h, kn.value,
+            pair, "corollary1", kn.value,
             {"formula": general.value, "oracle": oracle},
         )
     return rec
 
 
-def _cached_enumeration(product: Graph, config: CampaignConfig, caches: dict):
-    key = emit_graph6(product)
-    if key not in caches:
-        caches[key] = enumerate_min_cuts(product, config.enumeration_budget)
-    return caches[key]
+def _classify(pair: _Pair, cut) -> Optional[CutVerdict]:
+    """The Theorem 2 class of one minimum cut; None when it fits no class."""
+    try:
+        return classify_min_cut(pair.g, pair.h, cut).verdict
+    except CutClassificationError:
+        return None
 
 
-def _check_theorem2(pid: int, g: Graph, h: Graph, config: CampaignConfig,
-                    caches: dict) -> dict:
-    product = direct_product(g, h)
-    value = edge_connectivity(product).value
-    subsets = math.comb(len(product.edges), value)
-    rec: dict = {"kappa": value, "subsets": subsets}
-    if subsets > config.enumeration_budget:
+def _check_theorem2(pid: int, pair: _Pair) -> dict:
+    g, h = pair.g, pair.h
+    rec: dict = {"kappa": pair.kappa, "subsets": pair.subsets}
+    if not pair.enumerable:
         rec.update(exhaustive=False, status="inconclusive")
         return rec
-    enum = _cached_enumeration(product, config, caches)
+    cuts = _cached_enumeration(pair)
     counts = {v.value: 0 for v in CutVerdict}
     exceptional_pair = g == complete_graph(2) and is_exceptional_member(h) is not None
-    rec.update(exhaustive=True, cuts=len(enum.cuts), exceptional_pair=exceptional_pair)
-    for cut in enum.cuts:
-        try:
-            verdict = classify_min_cut(g, h, cut)
-        except CutClassificationError:
+    rec.update(exhaustive=True, cuts=len(cuts), exceptional_pair=exceptional_pair)
+    for cut in cuts:
+        verdict = _classify(pair, cut)
+        if verdict is None:
             rec["status"] = "mismatch"
             rec["certificate"] = _certificate(
-                "theorem2", g, h, "classifiable", "unclassifiable",
+                pair, "theorem2", "classifiable", "unclassifiable",
                 cut=format_product_cut(cut, h.n),
             )
             rec["verdicts"] = counts
             return rec
-        counts[verdict.verdict.value] += 1
+        counts[verdict.value] += 1
     rec["verdicts"] = counts
     if exceptional_pair:
         l = is_exceptional_member(h)
         if h == exceptional_member(l).graph:
             _, canonical = exceptional_cut(l)
-            rec["canonical_cut_seen"] = canonical in enum.cuts
+            rec["canonical_cut_seen"] = canonical in cuts
         if counts[CutVerdict.EXCEPTIONAL.value] == 0:
             rec["status"] = "mismatch"
             rec["certificate"] = _certificate(
-                "theorem2", g, h, "at least one exceptional cut", counts,
+                pair, "theorem2", "at least one exceptional cut", counts,
             )
             return rec
     rec["status"] = "ok"
     return rec
 
 
-def _check_corollary2(pid: int, g: Graph, h: Graph, config: CampaignConfig,
-                      caches: dict) -> dict:
-    n = h.n
-    product = direct_product(g, h)
-    value = edge_connectivity(product).value
+def _check_corollary2(pid: int, pair: _Pair) -> dict:
+    n = pair.h.n
     rec: dict = {"n": n}
-    if math.comb(len(product.edges), value) > config.enumeration_budget:
+    if not pair.enumerable:
         rec.update(status="inconclusive", exhaustive=False)
         return rec
-    enum = _cached_enumeration(product, config, caches)
-    brute = all(is_vertex_star(product, c) is not None for c in enum.cuts)
+    cuts = _cached_enumeration(pair)
+    brute = all(is_vertex_star(pair.product, c) is not None for c in cuts)
     rec["bruteforce"] = brute
     try:
-        predicted = is_super_edge_connected_kn(g, n)
+        predicted = is_super_edge_connected_kn(pair.g, n)
     except ExcludedCaseError as exc:
         rec.update(excluded=True, predicted=None)
-        if brute == exc.bruteforce_answer:
-            rec["status"] = "ok"
-        else:
-            rec["status"] = "mismatch"
-            rec["certificate"] = _certificate(
-                "corollary2", g, h, exc.bruteforce_answer, brute
-            )
-        return rec
+        return _settle(rec, pair, "corollary2", exc.bruteforce_answer, brute)
     rec["predicted"] = predicted
-    if predicted == brute:
-        rec["status"] = "ok"
-    else:
-        rec["status"] = "mismatch"
-        rec["certificate"] = _certificate("corollary2", g, h, predicted, brute)
-    return rec
+    return _settle(rec, pair, "corollary2", predicted, brute)
 
 
-def _check_weichsel(pid: int, g: Graph, h: Graph, config: CampaignConfig,
-                    caches: dict) -> dict:
-    predicted = product_connected(g, h)
-    actual = direct_product(g, h).is_connected()
-    rec = {"predicted": predicted, "traversal": actual}
-    if predicted == actual:
-        rec["status"] = "ok"
-    else:
-        rec["status"] = "mismatch"
-        rec["certificate"] = _certificate("weichsel", g, h, predicted, actual)
-    return rec
+def _check_weichsel(pid: int, pair: _Pair) -> dict:
+    predicted = product_connected(pair.g, pair.h)
+    actual = pair.product.is_connected()
+    return _settle({"predicted": predicted, "traversal": actual},
+                   pair, "weichsel", predicted, actual)
 
 
-def _check_lemma2(pid: int, g: Graph, h: Graph, config: CampaignConfig,
-                  caches: dict) -> dict:
-    product = direct_product(g, h)
+def _check_lemma2(pid: int, pair: _Pair) -> dict:
+    g, h = pair.g, pair.h
     bound = g.min_degree() * h.min_degree()
-    edges_sorted = sorted(product.edges)
-    rng = random.Random(config.seed * 1_000_003 + pid)
+    edges_sorted = sorted(pair.product.edges)
+    rng = random.Random(pair.config.seed * 1_000_003 + pid)
     rec: dict = {"bound": bound, "samples": _LEMMA2_SAMPLES}
     for _ in range(_LEMMA2_SAMPLES):
         size = rng.randrange(min(bound, len(edges_sorted) + 1))
@@ -392,7 +407,7 @@ def _check_lemma2(pid: int, g: Graph, h: Graph, config: CampaignConfig,
         if not fibers_contained(g, h, cut):
             rec["status"] = "mismatch"
             rec["certificate"] = _certificate(
-                "lemma2", g, h, "fibers contained", "fiber split",
+                pair, "lemma2", "fibers contained", "fiber split",
                 cut=format_product_cut(cut, h.n),
             )
             return rec
@@ -408,22 +423,6 @@ _CHECK_FUNCS = {
     "weichsel": _check_weichsel,
     "lemma2": _check_lemma2,
 }
-
-
-def _pairs_for_check(check: str, config: CampaignConfig,
-                     g_list: list[Graph], h_dense: list[Graph],
-                     h_all: list[Graph]) -> Iterator[tuple[int, Graph, Graph]]:
-    if check == "weichsel":
-        hs = h_all
-    elif check in ("corollary1", "corollary2"):
-        hs = [h for h in h_dense if h == complete_graph(h.n)]
-    else:
-        hs = h_dense
-    pid = 0
-    for g in g_list:
-        for h in hs:
-            yield pid, g, h
-            pid += 1
 
 
 # ---------------------------------------------------------------------------
@@ -444,40 +443,53 @@ class VerificationReport:
 
 
 def run_campaign(config: CampaignConfig) -> VerificationReport:
-    records: list[dict] = []
+    """Records come check by check, each check numbering its pairs G-major.
+
+    The loop runs G outermost, so the checks share each pair's context and
+    it lives only while its G is current.
+    """
     g_list = _g_corpus(config)
     h_dense = _h_corpus(config, dense_only=True)
+    h_complete = [h for h in h_dense if h == complete_graph(h.n)]
     h_all = _h_corpus(config, dense_only=False) if "weichsel" in config.checks else []
-    caches: dict = {}
-    mismatches = inconclusive = exceptional = 0
-    for check in config.checks:
-        func = _CHECK_FUNCS[check]
-        for pid, g, h in _pairs_for_check(check, config, g_list, h_dense, h_all):
-            t0 = time.perf_counter()
-            rec = func(pid, g, h, config, caches)
-            rec["ms"] = int(round((time.perf_counter() - t0) * 1000))
-            rec.update(record="instance", check=check, pair=pid,
-                       g=emit_graph6(g), h=emit_graph6(h))
-            if rec["status"] == "mismatch":
-                mismatches += 1
-            elif rec["status"] == "inconclusive":
-                inconclusive += 1
-            if check == "theorem2":
-                exceptional += rec.get("verdicts", {}).get(
-                    CutVerdict.EXCEPTIONAL.value, 0
-                )
-            records.append(rec)
+    second_factors = {
+        check: h_all if check == "weichsel"
+        else h_complete if check in ("corollary1", "corollary2")
+        else h_dense
+        for check in config.checks
+    }
+    per_check: dict[str, list[dict]] = {check: [] for check in config.checks}
+    for g in g_list:
+        pairs: dict[Graph, _Pair] = {}
+        for check, hs in second_factors.items():
+            out = per_check[check]
+            for h in hs:
+                pair = pairs.setdefault(h, _Pair(g, h, config))
+                pid = len(out)
+                t0 = time.perf_counter()
+                rec = _CHECK_FUNCS[check](pid, pair)
+                rec["ms"] = int(round((time.perf_counter() - t0) * 1000))
+                rec.update(record="instance", check=check, pair=pid,
+                           g=emit_graph6(g), h=emit_graph6(h))
+                out.append(rec)
+    records = [rec for recs in per_check.values() for rec in recs]
     summary = {
         "record": "summary",
         "instances": len(records),
         "checks": list(config.checks),
-        "mismatches": mismatches,
-        "inconclusive": inconclusive,
-        "exceptional_sightings": exceptional,
+        "mismatches": sum(rec["status"] == "mismatch" for rec in records),
+        "inconclusive": sum(rec["status"] == "inconclusive" for rec in records),
+        "exceptional_sightings": sum(
+            rec.get("verdicts", {}).get(CutVerdict.EXCEPTIONAL.value, 0)
+            for rec in per_check.get("theorem2", [])
+        ),
         "seed": config.seed,
         "budget": config.enumeration_budget,
         "max_g_order": config.max_g_order,
         "max_h_order": config.max_h_order,
+        "oracle": config.oracle,
+        "g_source": config.g_source,
+        "h_source": config.h_source,
     }
     return VerificationReport(records, summary)
 
@@ -505,53 +517,28 @@ def write_csv(report: VerificationReport, stream: TextIO) -> None:
 
 
 def replay_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> dict:
-    """Re-run the check a certificate came from, on its own graph6 payloads.
+    """Re-run the check a certificate came from, with its "oracle" (default
+    max-flow), on its own graph6 payloads; a recorded cut is judged again.
 
-    Returns fresh observations plus a "reproduced" flag that is True when the
-    recorded mismatch shows up again.
+    Returns the fresh observations plus a "reproduced" flag that is True when
+    the recorded mismatch shows up again.  Raises BudgetExceeded when the
+    re-run does not fit the budget.
     """
     check = cert["check"]
-    g = parse_graph6(cert["g"])
-    h = parse_graph6(cert["h"])
-    out: dict = {"check": check}
-    if check == "theorem1":
-        formula = kappa_formula(g, h).value
-        oracle = edge_connectivity(direct_product(g, h)).value
-        out.update(formula=formula, oracle=oracle, reproduced=formula != oracle)
-    elif check == "corollary1":
-        kn = kappa_formula_kn(g, h.n).value
-        formula = kappa_formula(g, h).value
-        oracle = edge_connectivity(direct_product(g, h)).value
-        out.update(kn_value=kn, formula=formula, oracle=oracle,
-                   reproduced=not (kn == formula == oracle))
-    elif check == "theorem2":
-        cut = parse_product_cut(cert["cut"], h.n)
-        try:
-            verdict = classify_min_cut(g, h, cut)
-            out.update(verdict=verdict.verdict.value, reproduced=False)
-        except CutClassificationError:
-            out.update(verdict="unclassifiable", reproduced=True)
-    elif check == "corollary2":
-        product = direct_product(g, h)
-        enum = enumerate_min_cuts(product, budget)
-        if not enum.exhaustive:
-            raise BudgetExceeded("replay needs an exhaustive enumeration")
-        brute = all(is_vertex_star(product, c) is not None for c in enum.cuts)
-        try:
-            predicted = is_super_edge_connected_kn(g, h.n)
-        except ExcludedCaseError as exc:
-            predicted = exc.bruteforce_answer
-        out.update(predicted=predicted, bruteforce=brute,
-                   reproduced=predicted != brute)
-    elif check == "weichsel":
-        predicted = product_connected(g, h)
-        actual = direct_product(g, h).is_connected()
-        out.update(predicted=predicted, traversal=actual,
-                   reproduced=predicted != actual)
-    elif check == "lemma2":
-        cut = parse_product_cut(cert["cut"], h.n)
-        contained = fibers_contained(g, h, cut)
-        out.update(fibers_contained=contained, reproduced=not contained)
-    else:
-        raise ValueError(f"unknown check {check!r}")
-    return out
+    config = CampaignConfig(checks=(check,), oracle=cert.get("oracle", "maxflow"),
+                            enumeration_budget=budget)
+    pair = _Pair(parse_graph6(cert["g"]), parse_graph6(cert["h"]), config)
+    if check == "lemma2":
+        contained = fibers_contained(pair.g, pair.h,
+                                     parse_product_cut(cert["cut"], pair.h.n))
+        return {"check": check, "fibers_contained": contained,
+                "reproduced": not contained}
+    if check == "theorem2" and "cut" in cert:
+        verdict = _classify(pair, parse_product_cut(cert["cut"], pair.h.n))
+        return {"check": check,
+                "verdict": "unclassifiable" if verdict is None else verdict.value,
+                "reproduced": verdict is None}
+    rec = _CHECK_FUNCS[check](0, pair)
+    if rec["status"] == "inconclusive":
+        raise BudgetExceeded(f"replaying {check} does not fit the budget {budget}")
+    return {"check": check, **rec, "reproduced": rec["status"] == "mismatch"}

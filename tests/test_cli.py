@@ -43,6 +43,16 @@ def test_product_from_stdin(capsys, monkeypatch):
     assert parse_graph6(out).n == 6
 
 
+def test_bad_graph_arguments_exit_2(tmp_path, capsys, monkeypatch):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    assert main(["product", str(empty), str(empty)]) == 2
+    assert "error: no graph6 line" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.StringIO("A_\n"))
+    assert main(["product", "-", "-"]) == 2
+    assert "error: not enough graph6 lines" in capsys.readouterr().err
+
+
 def test_kappa_factors(g6_files, capsys):
     k2 = g6_files("k2.g6", complete_graph(2))
     k3 = g6_files("k3.g6", complete_graph(3))

@@ -5,8 +5,6 @@ from strategies import graphs
 from tensorcut.catalog import all_graphs
 from tensorcut.graphs import (
     Graph,
-    GraphFamilySpec,
-    build,
     complement,
     complete_bipartite_graph,
     complete_graph,
@@ -56,6 +54,7 @@ def test_edge_count_examples():
     # join of 3 isolated vertices with 2 disjoint edges: 3*4 cross + 2
     g = join(empty_graph(3), matching_graph(2))
     assert g.edge_count() == 14
+    assert all(g.degree(v) == 4 for v in range(7))
 
 
 def test_is_connected_examples():
@@ -80,6 +79,12 @@ def test_validation():
     # unordered pairs normalize and collapse
     assert Graph(3, {(2, 0)}) == Graph(3, {(0, 2)})
     assert Graph(3, [(0, 1), (1, 0)]).edge_count() == 1
+    with pytest.raises(ValueError):
+        cycle_graph(2)
+    with pytest.raises(ValueError):
+        complete_bipartite_graph(0, 3)
+    with pytest.raises(ValueError):
+        matching_graph(0)
 
 
 def test_remove_edges():
@@ -89,41 +94,10 @@ def test_remove_edges():
         remove_edges(g, {(0, 2)})
 
 
-def test_build_examples():
-    k3 = build(GraphFamilySpec("Join", (
-        GraphFamilySpec("EmptyGraph", (1,)),
-        GraphFamilySpec("Matching", (1,)),
-    )))
-    assert k3 == complete_graph(3)
-
-    m2 = build(GraphFamilySpec("Matching", (2,)))
-    assert m2.n == 4 and m2.edges == frozenset({(0, 1), (2, 3)})
-
-    h2 = build(GraphFamilySpec("Join", (
-        GraphFamilySpec("EmptyGraph", (3,)),
-        GraphFamilySpec("Matching", (2,)),
-    )))
-    assert h2.n == 7
-    assert h2.edge_count() == 14
-    assert all(h2.degree(v) == 4 for v in range(7))
-
-
-def test_build_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        GraphFamilySpec("CompleteBipartite", (0, 3))
-    with pytest.raises(ValueError):
-        GraphFamilySpec("Matching", (0,))
-    with pytest.raises(ValueError):
-        GraphFamilySpec("Nonsense", (3,))
-    with pytest.raises(ValueError):
-        GraphFamilySpec("Join", (1, 2))
-    with pytest.raises(ValueError):
-        cycle_graph(2)
-
-
 def test_disjoint_union_shifts_ids():
     g = disjoint_union(complete_graph(2), complete_graph(2))
     assert g.edges == frozenset({(0, 1), (2, 3)})
+    assert g == matching_graph(2)
     assert not g.is_connected()
 
 

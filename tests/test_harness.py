@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
+from tensorcut import harness
 from tensorcut.catalog import is_isomorphic
 from tensorcut.dense import dense_precondition, exceptional_cut
 from tensorcut.graph6 import emit_graph6
@@ -14,7 +16,6 @@ from tensorcut.harness import (
     VerificationReport,
     _g_corpus,
     _h_corpus,
-    generate_corpus,
     load_config,
     parse_config,
     random_graph_with_min_degree,
@@ -23,6 +24,7 @@ from tensorcut.harness import (
     write_csv,
     write_jsonl,
 )
+from tensorcut.mincut import BudgetExceeded
 from tensorcut.product import format_product_cut
 
 
@@ -73,6 +75,17 @@ def test_parse_config():
         parse_config("unknown_key = 3")
 
 
+def test_config_errors_name_their_source():
+    with pytest.raises(ValueError, match="line 2: max_g_order") as err:
+        parse_config("seed = 1\nmax_g_order = x\n")
+    assert "invalid literal" not in str(err.value)
+    for source in ("random:", "random:x", "random:1:2:3"):
+        with pytest.raises(ValueError, match=f"bad random source '{source}'"):
+            CampaignConfig(g_source=source)
+        with pytest.raises(ValueError, match=f"bad random source '{source}'"):
+            CampaignConfig(h_source=source)
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("max_h_order = 4\nchecks = theorem1\n")
@@ -99,12 +112,29 @@ def test_g_corpus_counts():
     assert all(g.is_connected() for g in gs)
 
 
-def test_generate_corpus_is_deterministic():
-    cfg = CampaignConfig(max_g_order=3, max_h_order=4)
-    first = [(pid, emit_graph6(g), emit_graph6(h)) for pid, g, h in generate_corpus(cfg)]
-    second = [(pid, emit_graph6(g), emit_graph6(h)) for pid, g, h in generate_corpus(cfg)]
-    assert first == second
-    assert [p for p, _, _ in first] == list(range(len(first)))
+def test_campaign_numbers_pairs_g_major():
+    cfg = CampaignConfig(max_g_order=3, max_h_order=4, checks=CHECK_NAMES)
+    gs = [emit_graph6(g) for g in _g_corpus(cfg)]
+    dense = [emit_graph6(h) for h in _h_corpus(cfg)]
+    every = [emit_graph6(h) for h in _h_corpus(cfg, dense_only=False)]
+    complete = [emit_graph6(complete_graph(n)) for n in (3, 4)]
+    seconds = {"weichsel": every, "corollary1": complete, "corollary2": complete}
+    records = run_campaign(cfg).records
+    for check in CHECK_NAMES:
+        got = [(r["pair"], r["g"], r["h"]) for r in records if r["check"] == check]
+        pairs = [(g, h) for g in gs for h in seconds.get(check, dense)]
+        assert got == [(pid, g, h) for pid, (g, h) in enumerate(pairs)]
+    # records come check by check, in the canonical check order
+    order = [r["check"] for r in records]
+    assert order == sorted(order, key=CHECK_NAMES.index)
+
+
+def test_checks_share_pairs_without_changing_records():
+    cfg = CampaignConfig(max_g_order=3, max_h_order=4, checks=CHECK_NAMES)
+    together = strip_ms(run_campaign(cfg).records)
+    for check in CHECK_NAMES:
+        alone = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4, checks=(check,)))
+        assert strip_ms(alone.records) == [r for r in together if r["check"] == check]
 
 
 def test_random_sources_reproducible():
@@ -196,6 +226,8 @@ def test_jsonl_and_csv_emission():
     lines = buf.getvalue().strip().splitlines()
     parsed = [json.loads(line) for line in lines]
     assert parsed[-1]["record"] == "summary"
+    assert parsed[-1]["oracle"] == "maxflow"
+    assert parsed[-1]["g_source"] == parsed[-1]["h_source"] == "enumerate"
     assert all(rec["record"] == "instance" for rec in parsed[:-1])
 
     buf = io.StringIO()
@@ -249,13 +281,36 @@ def test_replay_remaining_checks():
     assert out["reproduced"] is False
     out = replay_certificate({"check": "corollary2", **base})
     # the excluded pair: the criterion's attached answer matches brute force
-    assert out["predicted"] is False and out["bruteforce"] is False
+    assert out["excluded"] is True and out["bruteforce"] is False
     assert out["reproduced"] is False
     out = replay_certificate({"check": "weichsel", **base})
     assert out["predicted"] is True and out["traversal"] is True
     assert out["reproduced"] is False
     with pytest.raises(ValueError):
         replay_certificate({"check": "bogus", **base})
+
+
+def test_replay_uses_the_certificate_oracle():
+    cert = {"check": "theorem1", "g": "A_", "h": "Bw", "oracle": "subset"}
+    with pytest.raises(BudgetExceeded):
+        replay_certificate(cert, budget=3)
+    del cert["oracle"]  # max-flow, which has no budget
+    assert replay_certificate(cert, budget=3)["reproduced"] is False
+
+
+def test_mismatch_certificate_names_its_oracle(monkeypatch):
+    real = harness.kappa_formula
+
+    def off_by_one(g, h):
+        res = real(g, h)
+        return dataclasses.replace(res, value=res.value + 1)
+
+    monkeypatch.setattr(harness, "kappa_formula", off_by_one)
+    cfg = CampaignConfig(max_g_order=2, max_h_order=3, oracle="subset")
+    (rec,) = run_campaign(cfg).records
+    assert rec["status"] == "mismatch"
+    assert rec["certificate"]["oracle"] == "subset"
+    assert replay_certificate(rec["certificate"])["reproduced"] is True
 
 
 def test_campaign_with_subset_oracle():
