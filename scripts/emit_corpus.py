@@ -22,18 +22,21 @@ def main() -> int:
     parser.add_argument("--output", "-o", default=None)
     args = parser.parse_args()
 
-    out = open(args.output, "w", encoding="ascii") if args.output else sys.stdout
-    count = 0
-    for n in range(args.min_order, args.max_order + 1):
-        pool = connected_graphs(n) if args.kind == "connected" else all_graphs(n)
-        for g in pool:
-            if args.kind == "dense" and not dense_precondition(g):
-                continue
-            out.write(emit_graph6(g) + "\n")
-            count += 1
+    try:
+        pools = [connected_graphs(n) if args.kind == "connected" else all_graphs(n)
+                 for n in range(args.min_order, args.max_order + 1)]
+        lines = [emit_graph6(g) + "\n" for pool in pools for g in pool
+                 if args.kind != "dense" or dense_precondition(g)]
+        if args.output:
+            with open(args.output, "w", encoding="ascii") as out:
+                out.writelines(lines)
+        else:
+            sys.stdout.writelines(lines)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.output:
-        out.close()
-        print(f"{count} graphs -> {args.output}", file=sys.stderr)
+        print(f"{len(lines)} graphs -> {args.output}", file=sys.stderr)
     return 0
 
 

@@ -3,7 +3,7 @@
 
 All six checks over every connected first factor on 2..5 vertices crossed
 with every dense second factor on 3..5 vertices.  Exit status: 0 all pass,
-1 counterexample found, 2 inconclusive instances only.
+1 counterexample found, 2 inconclusive instances only or bad input.
 """
 
 import argparse
@@ -24,20 +24,24 @@ def main() -> int:
     parser.add_argument("--output", "-o", default="verification_report.jsonl")
     args = parser.parse_args()
 
-    config = CampaignConfig(
-        max_g_order=args.max_g_order,
-        max_h_order=args.max_h_order,
-        enumeration_budget=args.budget,
-        seed=args.seed,
-        checks=tuple(c.strip() for c in args.checks.split(",")),
-    )
-    t0 = time.perf_counter()
-    report = run_campaign(config)
-    elapsed = time.perf_counter() - t0
+    try:
+        config = CampaignConfig(
+            max_g_order=args.max_g_order,
+            max_h_order=args.max_h_order,
+            enumeration_budget=args.budget,
+            seed=args.seed,
+            checks=tuple(c.strip() for c in args.checks.split(",")),
+        )
+        t0 = time.perf_counter()
+        report = run_campaign(config)
+        elapsed = time.perf_counter() - t0
 
-    writer = write_csv if args.format == "csv" else write_jsonl
-    with open(args.output, "w", encoding="utf-8") as fh:
-        writer(report, fh)
+        writer = write_csv if args.format == "csv" else write_jsonl
+        with open(args.output, "w", encoding="utf-8") as fh:
+            writer(report, fh)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     s = report.summary
     print(

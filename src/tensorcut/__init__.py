@@ -1,5 +1,7 @@
 """Edge connectivity and minimum-cut structure of direct (tensor) products."""
 
+__version__ = "0.1.0"  # defined before the imports: harness reports it
+
 from .catalog import all_graphs, canonical_key, connected_graphs, is_isomorphic
 from .dense import (
     Branch,
@@ -72,5 +74,3 @@ from .product import (
     vertex_id,
     vertex_pair,
 )
-
-__version__ = "0.1.0"

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import platform
 import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, TextIO
 
+from . import __version__
 from .catalog import all_graphs, connected_graphs
 from .dense import (
     CutClassificationError,
@@ -228,7 +230,8 @@ class _Pair:
     g: Graph
     h: Graph
     config: CampaignConfig
-    cuts: Optional[tuple[frozenset[Edge], ...]] = None  # see _cached_enumeration
+    enumerated: bool = False  # see _cached_enumeration
+    cuts: Optional[tuple[frozenset[Edge], ...]] = None
 
     @cached_property
     def product(self) -> Graph:
@@ -250,20 +253,17 @@ class _Pair:
         except BudgetExceeded:
             return None
 
-    @cached_property
-    def subsets(self) -> int:
-        """C(|E|, kappa'): the subsets an exhaustive cut enumeration scans."""
-        return math.comb(len(self.product.edges), self.kappa)
 
-    @property
-    def enumerable(self) -> bool:
-        return self.subsets <= self.config.enumeration_budget
-
-
-def _cached_enumeration(pair: _Pair) -> tuple[frozenset[Edge], ...]:
-    """The pair's minimum cuts, enumerated by the first check that asks."""
-    if pair.cuts is None:
-        pair.cuts = enumerate_min_cuts(pair.product, pair.config.enumeration_budget).cuts
+def _cached_enumeration(pair: _Pair) -> Optional[tuple[frozenset[Edge], ...]]:
+    """The pair's minimum cuts, enumerated by the first check that asks;
+    None when they do not fit the budget."""
+    if not pair.enumerated:
+        pair.enumerated = True
+        try:
+            pair.cuts = enumerate_min_cuts(
+                pair.product, pair.config.enumeration_budget).cuts
+        except BudgetExceeded:
+            pass
     return pair.cuts
 
 
@@ -335,11 +335,12 @@ def _classify(pair: _Pair, cut) -> Optional[CutVerdict]:
 
 def _check_theorem2(pid: int, pair: _Pair) -> dict:
     g, h = pair.g, pair.h
-    rec: dict = {"kappa": pair.kappa, "subsets": pair.subsets}
-    if not pair.enumerable:
+    rec: dict = {"kappa": pair.kappa,
+                 "subsets": math.comb(len(pair.product.edges), pair.kappa)}
+    cuts = _cached_enumeration(pair)
+    if cuts is None:
         rec.update(exhaustive=False, status="inconclusive")
         return rec
-    cuts = _cached_enumeration(pair)
     counts = {v.value: 0 for v in CutVerdict}
     exceptional_pair = g == complete_graph(2) and is_exceptional_member(h) is not None
     rec.update(exhaustive=True, cuts=len(cuts), exceptional_pair=exceptional_pair)
@@ -373,10 +374,10 @@ def _check_theorem2(pid: int, pair: _Pair) -> dict:
 def _check_corollary2(pid: int, pair: _Pair) -> dict:
     n = pair.h.n
     rec: dict = {"n": n}
-    if not pair.enumerable:
+    cuts = _cached_enumeration(pair)
+    if cuts is None:
         rec.update(status="inconclusive", exhaustive=False)
         return rec
-    cuts = _cached_enumeration(pair)
     brute = all(is_vertex_star(pair.product, c) is not None for c in cuts)
     rec["bruteforce"] = brute
     try:
@@ -490,6 +491,8 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
         "oracle": config.oracle,
         "g_source": config.g_source,
         "h_source": config.h_source,
+        "tensorcut_version": __version__,
+        "python_version": platform.python_version(),
     }
     return VerificationReport(records, summary)
 

@@ -5,6 +5,10 @@ a budgeted brute-force scan of edge subsets.  The scan is the ground-truth
 oracle for structural claims about minimum cuts, so it stays assumption-free:
 every k-subset is tested for disconnection (in vectorized batches), except
 subsets that touch no spanning-tree edge, which provably cannot disconnect.
+
+One budget caps every scan.  Over it, ``edge_connectivity_subset``,
+``enumerate_min_cuts`` and ``is_super_edge_connected`` raise BudgetExceeded
+instead of answering from a partial scan, so a cut list is always complete.
 """
 
 from __future__ import annotations
@@ -38,14 +42,9 @@ class MinCutResult:
 
 @dataclass(frozen=True)
 class CutEnumeration:
-    """All minimum cuts when ``exhaustive``; otherwise the ones found."""
+    """All minimum cuts of a graph."""
 
     cuts: tuple[frozenset[Edge], ...]
-    exhaustive: bool
-
-
-def _adjacency(g: Graph) -> list[list[int]]:
-    return [list(g.neighbors(v)) for v in range(g.n)]
 
 
 def _unit_max_flow(
@@ -81,8 +80,18 @@ def _unit_max_flow(
     return flow, None
 
 
-def _boundary(g: Graph, side: set[int] | frozenset[int]) -> frozenset[Edge]:
-    return frozenset(e for e in g.edges if (e[0] in side) != (e[1] in side))
+def _component_cut(g: Graph, witness: frozenset[Edge]) -> MinCutResult:
+    """``witness`` with the component of vertex 0 in g minus it as one side."""
+    labels = Graph(g.n, g.edges - witness).component_labels()
+    side = frozenset(v for v in range(g.n) if labels[v] == labels[0])
+    return MinCutResult(len(witness), witness, (side, frozenset(range(g.n)) - side))
+
+
+def _disconnected_cut(g: Graph) -> Optional[MinCutResult]:
+    """The empty cut of a disconnected g; None when g is connected."""
+    if g.n < 2:
+        raise ValueError("edge connectivity requires at least two vertices")
+    return None if g.is_connected() else _component_cut(g, frozenset())
 
 
 def edge_connectivity(g: Graph) -> MinCutResult:
@@ -91,14 +100,10 @@ def edge_connectivity(g: Graph) -> MinCutResult:
     Ties between sinks break toward the smallest sink id, so the witness is
     deterministic.  Disconnected graphs get value 0 with an empty witness.
     """
-    if g.n < 2:
-        raise ValueError("edge connectivity requires at least two vertices")
-    vertices = frozenset(range(g.n))
-    if not g.is_connected():
-        labels = g.component_labels()
-        side = frozenset(v for v in range(g.n) if labels[v] == labels[0])
-        return MinCutResult(0, frozenset(), (side, vertices - side))
-    adj = _adjacency(g)
+    trivial = _disconnected_cut(g)
+    if trivial is not None:
+        return trivial
+    adj = [list(g.neighbors(v)) for v in range(g.n)]
     best: Optional[int] = None
     best_t = 1
     for t in range(1, g.n):
@@ -109,9 +114,9 @@ def edge_connectivity(g: Graph) -> MinCutResult:
     _, reach = _unit_max_flow(adj, 0, best_t)
     assert reach is not None
     side = frozenset(reach)
-    witness = _boundary(g, side)
+    witness = frozenset(e for e in g.edges if (e[0] in side) != (e[1] in side))
     assert len(witness) == best
-    return MinCutResult(best, witness, (side, vertices - side))
+    return MinCutResult(best, witness, (side, frozenset(range(g.n)) - side))
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +196,9 @@ def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutRe
     Independent of the max-flow route.  Raises BudgetExceeded before starting
     any level that would push the total subset count past the budget.
     """
-    if g.n < 2:
-        raise ValueError("edge connectivity requires at least two vertices")
-    vertices = frozenset(range(g.n))
-    if not g.is_connected():
-        labels = g.component_labels()
-        side = frozenset(v for v in range(g.n) if labels[v] == labels[0])
-        return MinCutResult(0, frozenset(), (side, vertices - side))
+    trivial = _disconnected_cut(g)
+    if trivial is not None:
+        return trivial
     order, tree_size = _scan_order(g)
     m = len(order)
     spent = 1
@@ -208,39 +209,29 @@ def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutRe
                 f"subset search would test {spent} subsets (budget {budget})"
             )
         for combo in _disconnecting_subsets(g, k, order, tree_size):
-            witness = frozenset(order[i] for i in combo)
-            labels = Graph(g.n, g.edges - witness).component_labels()
-            side = frozenset(v for v in range(g.n) if labels[v] == labels[0])
-            return MinCutResult(k, witness, (side, vertices - side))
+            return _component_cut(g, frozenset(order[i] for i in combo))
     raise AssertionError("removing a minimum-degree star must disconnect")
 
 
 def enumerate_min_cuts(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnumeration:
-    """All minimum edge cuts, exhaustively when C(|E|, kappa') fits the budget.
+    """All minimum edge cuts, by scanning the C(|E|, kappa') edge subsets.
 
-    Above budget, falls back to the distinct witnesses of all-pairs max-flow
-    and reports the enumeration as non-exhaustive.
+    Raises BudgetExceeded, before scanning, when that count exceeds the budget.
     """
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
     value = edge_connectivity(g).value
-    m = len(g.edges)
-    if math.comb(m, value) <= budget:
-        order, tree_size = _scan_order(g)
-        cuts = {
-            frozenset(order[i] for i in combo)
-            for combo in _disconnecting_subsets(g, value, order, tree_size)
-        }
-        return CutEnumeration(tuple(sorted(cuts, key=sorted)), True)
-
-    adj = _adjacency(g)
-    found = set()
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            val, reach = _unit_max_flow(adj, s, t, limit=value + 1)
-            if reach is not None and val == value:
-                found.add(_boundary(g, reach))
-    return CutEnumeration(tuple(sorted(found, key=sorted)), False)
+    subsets = math.comb(len(g.edges), value)
+    if subsets > budget:
+        raise BudgetExceeded(
+            f"cut enumeration would test {subsets} subsets (budget {budget})"
+        )
+    order, tree_size = _scan_order(g)
+    cuts = {
+        frozenset(order[i] for i in combo)
+        for combo in _disconnecting_subsets(g, value, order, tree_size)
+    }
+    return CutEnumeration(tuple(sorted(cuts, key=sorted)))
 
 
 def is_vertex_star(g: Graph, cut: Iterable[Edge]) -> Optional[int]:
@@ -264,15 +255,10 @@ def is_vertex_star(g: Graph, cut: Iterable[Edge]) -> Optional[int]:
 def is_super_edge_connected(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     """Definitional check: every minimum edge cut is a vertex star.
 
-    Sound only when enumeration is exhaustive; otherwise BudgetExceeded is
-    raised rather than returning a potentially unsound False.
+    Raises BudgetExceeded when the cut enumeration does not fit the budget.
     """
-    enum = enumerate_min_cuts(g, budget)
-    if not enum.exhaustive:
-        raise BudgetExceeded(
-            "minimum-cut enumeration did not fit the budget; result would be unsound"
-        )
-    return all(is_vertex_star(g, c) is not None for c in enum.cuts)
+    return all(is_vertex_star(g, c) is not None
+               for c in enumerate_min_cuts(g, budget).cuts)
 
 
 # ---------------------------------------------------------------------------

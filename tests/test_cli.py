@@ -110,6 +110,14 @@ def test_super_excluded_pair(g6_files, capsys):
     assert payload["bruteforce"] is False
 
 
+def test_super_brute_over_budget(g6_files, capsys):
+    c5 = g6_files("c5.g6", cycle_graph(5))
+    code, payload = run_json(capsys, ["super", c5, "4", "--brute", "--budget", "10"])
+    assert code == 0
+    assert payload["super"] is True
+    assert payload["bruteforce"] is None
+
+
 def test_family_command(capsys):
     code = main(["family", "2"])
     out = capsys.readouterr().out.strip()

@@ -29,7 +29,7 @@ from tensorcut.graphs import (
     disjoint_union,
     remove_edges,
 )
-from tensorcut.mincut import edge_connectivity, enumerate_min_cuts, is_vertex_star
+from tensorcut.mincut import edge_connectivity, is_vertex_star
 from tensorcut.product import direct_product, induced_cut, lifted_edges
 
 K2 = complete_graph(2)
@@ -164,13 +164,12 @@ def test_classification_failure_is_surfaced(monkeypatch):
 
 
 def test_branch_consistency_factor_cut():
-    # strict factor-cut branch: some enumerated minimum cut must be induced
+    # strict factor-cut branch: the max-flow minimum cut is induced
     g = bridged(complete_graph(5))
-    prod = direct_product(g, K3)
-    enum = enumerate_min_cuts(prod, budget=1000)  # falls back to witnesses
-    assert not enum.exhaustive and enum.cuts
-    verdicts = {classify_min_cut(g, K3, c).verdict for c in enum.cuts}
-    assert CutVerdict.INDUCED_BY_FACTOR_CUT in verdicts
+    witness = edge_connectivity(direct_product(g, K3)).witness
+    assert len(witness) == 6
+    verdict = classify_min_cut(g, K3, witness).verdict
+    assert verdict == CutVerdict.INDUCED_BY_FACTOR_CUT
 
 
 def test_super_kn_examples():

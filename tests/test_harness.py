@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import io
 import json
+import platform
 
 import pytest
 
+import tensorcut
 from tensorcut import harness
 from tensorcut.catalog import is_isomorphic
-from tensorcut.dense import dense_precondition, exceptional_cut
+from tensorcut.dense import CutClassificationError, dense_precondition, exceptional_cut
 from tensorcut.graph6 import emit_graph6
 from tensorcut.graphs import complete_graph
 from tensorcut.harness import (
@@ -210,6 +212,25 @@ def test_inconclusive_exit_code():
     assert report.exit_code == 2
 
 
+def test_over_budget_pairs_enumerate_once(monkeypatch):
+    calls = []
+    real = harness.enumerate_min_cuts
+
+    def counting(product, budget):
+        calls.append(product)
+        return real(product, budget)
+
+    monkeypatch.setattr(harness, "enumerate_min_cuts", counting)
+    cfg = CampaignConfig(max_g_order=3, max_h_order=4, enumeration_budget=5,
+                         checks=("theorem2", "corollary2"))
+    report = run_campaign(cfg)
+    assert len(report.records) == 12
+    assert all(r["status"] == "inconclusive" and r["exhaustive"] is False
+               for r in report.records)
+    # theorem2 asks once per pair; corollary2 reuses the over-budget answer
+    assert len(calls) == 6
+
+
 def test_exit_code_on_mismatch():
     report = VerificationReport(records=[], summary={
         "mismatches": 2, "inconclusive": 0,
@@ -228,6 +249,8 @@ def test_jsonl_and_csv_emission():
     assert parsed[-1]["record"] == "summary"
     assert parsed[-1]["oracle"] == "maxflow"
     assert parsed[-1]["g_source"] == parsed[-1]["h_source"] == "enumerate"
+    assert parsed[-1]["tensorcut_version"] == tensorcut.__version__
+    assert parsed[-1]["python_version"] == platform.python_version()
     assert all(rec["record"] == "instance" for rec in parsed[:-1])
 
     buf = io.StringIO()
@@ -328,3 +351,39 @@ def test_campaign_with_subset_oracle():
     report = run_campaign(cfg)
     assert report.exit_code == 2
     assert report.records[0]["oracle"] is None
+
+
+def _off_by_one(real):
+    def wrong(*args):
+        res = real(*args)
+        return dataclasses.replace(res, value=res.value + 1)
+    return wrong
+
+
+def _unclassifiable(real):
+    def wrong(g, h, cut):
+        raise CutClassificationError(g, h, frozenset(cut))
+    return wrong
+
+
+def _negated(real):
+    return lambda *args: not real(*args)
+
+
+@pytest.mark.parametrize("check, binding, mutate, mismatches, instances", [
+    ("corollary1", "kappa_formula_kn", _off_by_one, 6, 6),
+    ("theorem2", "classify_min_cut", _unclassifiable, 6, 6),
+    # the excluded pair (K_2, K_3) raises before the negation and stays ok
+    ("corollary2", "is_super_edge_connected_kn", _negated, 5, 6),
+    ("weichsel", "product_connected", _negated, 45, 45),
+])
+def test_injected_fault_is_certified(monkeypatch, check, binding, mutate,
+                                     mismatches, instances):
+    monkeypatch.setattr(harness, binding, mutate(getattr(harness, binding)))
+    report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4,
+                                         checks=(check,)))
+    assert len(report.records) == instances
+    assert report.summary["mismatches"] == mismatches
+    bad = [r for r in report.records if r["status"] == "mismatch"]
+    assert all(replay_certificate(r["certificate"])["reproduced"] for r in bad)
+    assert {r["status"] for r in report.records} <= {"ok", "mismatch"}

@@ -1,0 +1,27 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("run_verification.py", ["--checks", "foo"], "unknown checks"),
+    ("run_verification.py", ["--max-g-order", "1"], "max_g_order must be >= 2"),
+    ("emit_corpus.py", ["--max-order", "9"], "internal enumeration covers"),
+])
+def test_bad_input_exits_2(tmp_path, script, args, message):
+    proc = run_script(script, *args, cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {message}")
+    assert "Traceback" not in proc.stderr
