@@ -8,7 +8,7 @@ Example: emit every connected graph on 2..6 vertices, or every dense graph
 import argparse
 import sys
 
-from tensorcut.catalog import all_graphs, connected_graphs
+from tensorcut.catalog import all_graphs, connected_graphs, require_enumerable
 from tensorcut.dense import dense_precondition
 from tensorcut.graph6 import emit_graph6
 
@@ -23,8 +23,11 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        orders = range(args.min_order, args.max_order + 1)
+        for n in orders:  # before enumerating anything
+            require_enumerable(n)
         pools = [connected_graphs(n) if args.kind == "connected" else all_graphs(n)
-                 for n in range(args.min_order, args.max_order + 1)]
+                 for n in orders]
         lines = [emit_graph6(g) + "\n" for pool in pools for g in pool
                  if args.kind != "dense" or dense_precondition(g)]
         if args.output:

@@ -8,7 +8,6 @@ from .dense import (
     CutClass,
     CutClassificationError,
     CutVerdict,
-    ExceptionalFamilyMember,
     ExcludedCaseError,
     FormulaResult,
     classify_min_cut,
@@ -58,6 +57,7 @@ from .mincut import (
     format_cut,
     is_super_edge_connected,
     is_vertex_star,
+    min_st_cut,
     parse_cut,
 )
 from .product import (

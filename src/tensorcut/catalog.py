@@ -71,14 +71,19 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_key(g) == canonical_key(h)
 
 
-@lru_cache(maxsize=None)
-def all_graphs(n: int) -> tuple[Graph, ...]:
-    """All non-isomorphic graphs on exactly n vertices, deterministically ordered."""
+def require_enumerable(n: int) -> None:
+    """Raise ValueError unless ``all_graphs`` covers order n."""
     if not 1 <= n <= MAX_ENUM_ORDER:
         raise ValueError(
             f"internal enumeration covers 1 <= n <= {MAX_ENUM_ORDER};"
             " supply larger corpora as graph6 files"
         )
+
+
+@lru_cache(maxsize=None)
+def all_graphs(n: int) -> tuple[Graph, ...]:
+    """All non-isomorphic graphs on exactly n vertices, deterministically ordered."""
+    require_enumerable(n)
     if n == 1:
         return (Graph(1),)
     found: dict[int, Graph] = {}

@@ -143,7 +143,7 @@ def _cmd_super(args, reader: _GraphReader) -> int:
 
 
 def _cmd_family(args, reader: _GraphReader) -> int:
-    print(emit_graph6(exceptional_member(args.l).graph))
+    print(emit_graph6(exceptional_member(args.l)))
     return 0
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .graphs import (
@@ -56,7 +55,6 @@ class FormulaResult:
     factor_cut_bound: int
     degree_bound: int
     branch: Branch
-    precondition_met: bool
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,6 @@ class CutClass:
     verdict: CutVerdict
     factor_cut: Optional[frozenset[Edge]] = None
     star_center: Optional[ProductVertex] = None
-
-
-@dataclass(frozen=True)
-class ExceptionalFamilyMember:
-    """H_l: the join of 2l-1 isolated vertices with a perfect matching on 2l."""
-
-    l: int
-    graph: Graph
 
 
 class CutClassificationError(Exception):
@@ -135,7 +125,6 @@ def _formula(factor_cut_bound: int, degree_bound: int) -> FormulaResult:
         factor_cut_bound=factor_cut_bound,
         degree_bound=degree_bound,
         branch=branch,
-        precondition_met=True,
     )
 
 
@@ -218,8 +207,9 @@ def is_super_edge_connected_kn(g: Graph, n: int) -> bool:
 # ---------------------------------------------------------------------------
 # The exceptional family H_l and its canonical non-star, non-induced cut.
 
-def exceptional_member(l: int) -> ExceptionalFamilyMember:
-    """H_l on 4l-1 vertices: ids 0..2l-2 independent, matching on 2l-1..4l-2."""
+def exceptional_member(l: int) -> Graph:
+    """H_l on 4l-1 vertices: the join of 2l-1 isolated vertices (ids 0..2l-2)
+    with a perfect matching on 2l vertices (ids 2l-1..4l-2)."""
     if l < 1:
         raise ValueError("family index l must be >= 1")
     g = join(empty_graph(2 * l - 1), matching_graph(l))
@@ -229,7 +219,7 @@ def exceptional_member(l: int) -> ExceptionalFamilyMember:
     bipartite_part = join(empty_graph(2 * l - 1), empty_graph(2 * l))
     assert remove_edges(g, matching).edges == bipartite_part.edges
     assert dense_precondition(g)
-    return ExceptionalFamilyMember(l, g)
+    return g
 
 
 def _member_matching(l: int) -> frozenset[Edge]:
@@ -242,7 +232,9 @@ def is_exceptional_member(h: Graph) -> Optional[int]:
 
     Detection is structural and exact: H_l is the complement of the disjoint
     union of a clique on 2l-1 vertices and a (2l-2)-regular graph on 2l
-    vertices missing a perfect matching, and that decomposition is unique.
+    vertices missing a perfect matching.  When h is 2l-regular on 4l-1
+    vertices its complement is (2l-2)-regular, so complement components of
+    2l-1 and 2l vertices are exactly those two pieces.
     """
     n = h.n
     if n < 3 or n % 4 != 3:
@@ -252,26 +244,9 @@ def is_exceptional_member(h: Graph) -> Optional[int]:
         return None
     if l == 1:
         return 1  # 2-regular on 3 vertices is exactly K_3
-    comp = complement(h)
-    labels = comp.component_labels()
-    groups: dict[int, list[int]] = {}
-    for v, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(v)
-    if len(groups) != 2:
-        return None
-    small, big = sorted(groups.values(), key=len)
-    if len(small) != 2 * l - 1 or len(big) != 2 * l:
-        return None
-    if any(h.has_edge(u, v) for u, v in combinations(small, 2)):
-        return None
-    bigset = set(big)
-    inner = [e for e in h.edges if e[0] in bigset and e[1] in bigset]
-    if len(inner) != l:
-        return None
-    covered = {v for e in inner for v in e}
-    if len(covered) != 2 * l:
-        return None
-    return l
+    labels = complement(h).component_labels()
+    sizes = sorted(labels.count(c) for c in set(labels))
+    return l if sizes == [2 * l - 1, 2 * l] else None
 
 
 def exceptional_cut(l: int) -> tuple[Graph, frozenset[Edge]]:
@@ -281,8 +256,7 @@ def exceptional_cut(l: int) -> tuple[Graph, frozenset[Edge]]:
     kappa'), and separates the product into two components while being
     neither a vertex star nor the lift of a cut of K_2.
     """
-    member = exceptional_member(l)
-    h = member.graph
+    h = exceptional_member(l)
     product = direct_product(complete_graph(2), h)
     cut = set()
     for u, v in _member_matching(l):

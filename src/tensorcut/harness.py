@@ -15,10 +15,10 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, TextIO
+from typing import Callable, Optional, TextIO
 
 from . import __version__
-from .catalog import all_graphs, connected_graphs
+from .catalog import all_graphs
 from .dense import (
     CutClassificationError,
     CutVerdict,
@@ -41,17 +41,17 @@ from .mincut import (
     edge_connectivity_subset,
     enumerate_min_cuts,
     is_vertex_star,
+    min_st_cut,
 )
 from .product import (
     direct_product,
-    fibers_contained,
+    fiber,
     format_product_cut,
     parse_product_cut,
     product_connected,
 )
 
 CHECK_NAMES = ("theorem1", "corollary1", "theorem2", "corollary2", "weichsel", "lemma2")
-_LEMMA2_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,11 @@ def load_config(path: str) -> CampaignConfig:
 # Corpus generation.
 
 def random_graph_with_min_degree(
-    n: int, min_degree: int, rng: random.Random, require_connected: bool = False
+    n: int, min_degree: int, rng: random.Random,
+    keep: Callable[[Graph], bool] = lambda g: True,
 ) -> Graph:
-    """Rejection-sample a uniform-ish random graph meeting a degree floor."""
+    """Rejection-sample a uniform-ish random graph that meets a degree floor
+    and that ``keep`` accepts."""
     if min_degree > n - 1:
         raise ValueError(f"infeasible degree constraint: {min_degree} on {n} vertices")
     for _ in range(200000):
@@ -144,11 +146,8 @@ def random_graph_with_min_degree(
             if rng.random() < 0.5
         }
         g = Graph(n, edges)
-        if n > 0 and g.min_degree() < min_degree:
-            continue
-        if require_connected and not g.is_connected():
-            continue
-        return g
+        if (n == 0 or g.min_degree() >= min_degree) and keep(g):
+            return g
     raise RuntimeError("rejection sampling failed to meet the degree constraint")
 
 
@@ -163,65 +162,35 @@ def _parse_source(src: str) -> tuple:
     return ("file", src)
 
 
+def _corpus(source: str, orders: range, keep: Callable[[Graph], bool],
+            seed: int) -> list[Graph]:
+    """The graphs of ``source`` whose order is in ``orders`` and that ``keep``
+    accepts, order by order; a random source draws ``seed``'s stream."""
+    kind, *args = _parse_source(source)
+    if kind == "enumerate":
+        return [g for n in orders for g in all_graphs(n) if keep(g)]
+    if kind == "random":
+        count, mindeg = args
+        rng = random.Random(seed)
+        return [random_graph_with_min_degree(n, mindeg or 0, rng, keep)
+                for n in orders for _ in range(count)]
+    return [g for g in load_graph6_file(args[0]) if g.n in orders and keep(g)]
+
+
 def _g_corpus(config: CampaignConfig) -> list[Graph]:
-    source = _parse_source(config.g_source)
-    if source[0] == "enumerate":
-        out: list[Graph] = []
-        for n in range(2, config.max_g_order + 1):
-            out.extend(connected_graphs(n))
-        return out
-    if source[0] == "random":
-        _, count, mindeg = source
-        rng = random.Random(config.seed)
-        out = []
-        for n in range(2, config.max_g_order + 1):
-            for _ in range(count):
-                out.append(
-                    random_graph_with_min_degree(
-                        n, mindeg if mindeg is not None else 1, rng,
-                        require_connected=True,
-                    )
-                )
-        return out
-    graphs = load_graph6_file(source[1])
-    return [
-        g for g in graphs
-        if 2 <= g.n <= config.max_g_order and g.is_connected()
-    ]
+    return _corpus(config.g_source, range(2, config.max_g_order + 1),
+                   Graph.is_connected, config.seed)
 
 
 def _h_corpus(config: CampaignConfig, dense_only: bool = True) -> list[Graph]:
-    source = _parse_source(config.h_source)
-    if source[0] == "enumerate":
-        out: list[Graph] = []
-        for n in range(3, config.max_h_order + 1):
-            for h in all_graphs(n):
-                if not dense_only or dense_precondition(h):
-                    out.append(h)
-        return out
-    if source[0] == "random":
-        _, count, mindeg = source
-        rng = random.Random(config.seed + 1)
-        out = []
-        for n in range(3, config.max_h_order + 1):
-            floor = mindeg if mindeg is not None else 0
-            if dense_only:
-                floor = max(floor, n // 2 + 1)
-            for _ in range(count):
-                out.append(random_graph_with_min_degree(n, floor, rng))
-        return out
-    graphs = load_graph6_file(source[1])
-    return [
-        h for h in graphs
-        if 3 <= h.n <= config.max_h_order
-        and (not dense_only or dense_precondition(h))
-    ]
+    return _corpus(config.h_source, range(3, config.max_h_order + 1),
+                   dense_precondition if dense_only else lambda h: True,
+                   config.seed + 1)
 
 
 # ---------------------------------------------------------------------------
-# Per-pair context and checks.  Each check takes the pair's number within its
-# check and the pair's context, and returns a record dict with at least
-# "status".
+# Per-pair context and checks.  Each check takes the pair's context and
+# returns a record dict with at least "status".
 
 @dataclass
 class _Pair:
@@ -292,7 +261,7 @@ def _settle(rec: dict, pair: _Pair, check: str, expected, observed) -> dict:
     return rec
 
 
-def _check_theorem1(pid: int, pair: _Pair) -> dict:
+def _check_theorem1(pair: _Pair) -> dict:
     res = kappa_formula(pair.g, pair.h)
     oracle = pair.oracle_kappa
     rec = {
@@ -306,7 +275,7 @@ def _check_theorem1(pid: int, pair: _Pair) -> dict:
     return _settle(rec, pair, "theorem1", res.value, oracle)
 
 
-def _check_corollary1(pid: int, pair: _Pair) -> dict:
+def _check_corollary1(pair: _Pair) -> dict:
     n = pair.h.n
     kn = kappa_formula_kn(pair.g, n)
     general = kappa_formula(pair.g, pair.h)
@@ -333,7 +302,7 @@ def _classify(pair: _Pair, cut) -> Optional[CutVerdict]:
         return None
 
 
-def _check_theorem2(pid: int, pair: _Pair) -> dict:
+def _check_theorem2(pair: _Pair) -> dict:
     g, h = pair.g, pair.h
     rec: dict = {"kappa": pair.kappa,
                  "subsets": math.comb(len(pair.product.edges), pair.kappa)}
@@ -358,7 +327,7 @@ def _check_theorem2(pid: int, pair: _Pair) -> dict:
     rec["verdicts"] = counts
     if exceptional_pair:
         l = is_exceptional_member(h)
-        if h == exceptional_member(l).graph:
+        if h == exceptional_member(l):
             _, canonical = exceptional_cut(l)
             rec["canonical_cut_seen"] = canonical in cuts
         if counts[CutVerdict.EXCEPTIONAL.value] == 0:
@@ -371,7 +340,7 @@ def _check_theorem2(pid: int, pair: _Pair) -> dict:
     return rec
 
 
-def _check_corollary2(pid: int, pair: _Pair) -> dict:
+def _check_corollary2(pair: _Pair) -> dict:
     n = pair.h.n
     rec: dict = {"n": n}
     cuts = _cached_enumeration(pair)
@@ -389,29 +358,33 @@ def _check_corollary2(pid: int, pair: _Pair) -> dict:
     return _settle(rec, pair, "corollary2", predicted, brute)
 
 
-def _check_weichsel(pid: int, pair: _Pair) -> dict:
+def _check_weichsel(pair: _Pair) -> dict:
     predicted = product_connected(pair.g, pair.h)
     actual = pair.product.is_connected()
     return _settle({"predicted": predicted, "traversal": actual},
                    pair, "weichsel", predicted, actual)
 
 
-def _check_lemma2(pid: int, pair: _Pair) -> dict:
+def _check_lemma2(pair: _Pair) -> dict:
+    """Lemma 2, exactly: no cut of fewer than b = delta(G)delta(H) edges splits
+    an H-fiber.  By Menger's theorem that holds when each vertex of a fiber
+    has local edge connectivity at least b to the fiber's first vertex, since
+    lambda(a, c) >= min(lambda(a, s), lambda(s, c)).  A cut below b is the
+    certificate."""
     g, h = pair.g, pair.h
     bound = g.min_degree() * h.min_degree()
-    edges_sorted = sorted(pair.product.edges)
-    rng = random.Random(pair.config.seed * 1_000_003 + pid)
-    rec: dict = {"bound": bound, "samples": _LEMMA2_SAMPLES}
-    for _ in range(_LEMMA2_SAMPLES):
-        size = rng.randrange(min(bound, len(edges_sorted) + 1))
-        cut = frozenset(rng.sample(edges_sorted, size))
-        if not fibers_contained(g, h, cut):
-            rec["status"] = "mismatch"
-            rec["certificate"] = _certificate(
-                pair, "lemma2", "fibers contained", "fiber split",
-                cut=format_product_cut(cut, h.n),
-            )
-            return rec
+    rec: dict = {"bound": bound, "flows": g.n * (h.n - 1)}
+    for x in range(g.n):
+        s, *rest = fiber(x, h.n)
+        for t in rest:
+            cut = min_st_cut(pair.product, s, t, limit=bound)
+            if cut is not None:
+                rec["status"] = "mismatch"
+                rec["certificate"] = _certificate(
+                    pair, "lemma2", "fibers contained", "fiber split",
+                    cut=format_product_cut(cut.witness, h.n),
+                )
+                return rec
     rec["status"] = "ok"
     return rec
 
@@ -466,11 +439,10 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
             out = per_check[check]
             for h in hs:
                 pair = pairs.setdefault(h, _Pair(g, h, config))
-                pid = len(out)
                 t0 = time.perf_counter()
-                rec = _CHECK_FUNCS[check](pid, pair)
+                rec = _CHECK_FUNCS[check](pair)
                 rec["ms"] = int(round((time.perf_counter() - t0) * 1000))
-                rec.update(record="instance", check=check, pair=pid,
+                rec.update(record="instance", check=check, pair=len(out),
                            g=emit_graph6(g), h=emit_graph6(h))
                 out.append(rec)
     records = [rec for recs in per_check.values() for rec in recs]
@@ -521,7 +493,8 @@ def write_csv(report: VerificationReport, stream: TextIO) -> None:
 
 def replay_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> dict:
     """Re-run the check a certificate came from, with its "oracle" (default
-    max-flow), on its own graph6 payloads; a recorded cut is judged again.
+    max-flow), on its own graph6 payloads; a recorded theorem2 cut is
+    classified again.
 
     Returns the fresh observations plus a "reproduced" flag that is True when
     the recorded mismatch shows up again.  Raises BudgetExceeded when the
@@ -531,17 +504,12 @@ def replay_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> dict:
     config = CampaignConfig(checks=(check,), oracle=cert.get("oracle", "maxflow"),
                             enumeration_budget=budget)
     pair = _Pair(parse_graph6(cert["g"]), parse_graph6(cert["h"]), config)
-    if check == "lemma2":
-        contained = fibers_contained(pair.g, pair.h,
-                                     parse_product_cut(cert["cut"], pair.h.n))
-        return {"check": check, "fibers_contained": contained,
-                "reproduced": not contained}
     if check == "theorem2" and "cut" in cert:
         verdict = _classify(pair, parse_product_cut(cert["cut"], pair.h.n))
         return {"check": check,
                 "verdict": "unclassifiable" if verdict is None else verdict.value,
                 "reproduced": verdict is None}
-    rec = _CHECK_FUNCS[check](0, pair)
+    rec = _CHECK_FUNCS[check](pair)
     if rec["status"] == "inconclusive":
         raise BudgetExceeded(f"replaying {check} does not fit the budget {budget}")
     return {"check": check, **rec, "reproduced": rec["status"] == "mismatch"}

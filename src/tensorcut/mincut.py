@@ -48,15 +48,15 @@ class CutEnumeration:
 
 
 def _unit_max_flow(
-    adj: list[list[int]], s: int, t: int, limit: Optional[int] = None
+    g: Graph, s: int, t: int, limit: Optional[int] = None
 ) -> tuple[int, Optional[set[int]]]:
     """Edmonds-Karp with capacity 1 per direction on every edge.
 
     Returns (flow, source-side reachable set).  When ``limit`` is given the
     search aborts as soon as the flow reaches it and the reachable set is None.
     """
-    n = len(adj)
-    cap = [dict.fromkeys(nbrs, 1) for nbrs in adj]
+    n = g.n
+    cap = [dict.fromkeys(g.neighbors(v), 1) for v in range(n)]
     flow = 0
     while limit is None or flow < limit:
         parent = [-1] * n
@@ -80,6 +80,26 @@ def _unit_max_flow(
     return flow, None
 
 
+def min_st_cut(
+    g: Graph, s: int, t: int, limit: Optional[int] = None
+) -> Optional[MinCutResult]:
+    """A minimum s-t edge cut by unit-capacity max-flow (Menger's theorem).
+
+    Its value is the local edge connectivity lambda(s, t), and its first side
+    is what s still reaches in the final residual graph.  Returns None when
+    the flow reaches ``limit``, that is when lambda(s, t) >= limit.
+    """
+    if not (0 <= s < g.n and 0 <= t < g.n) or s == t:
+        raise ValueError(f"need two distinct vertices of 0..{g.n - 1}, got {s} and {t}")
+    flow, reach = _unit_max_flow(g, s, t, limit)
+    if reach is None:
+        return None
+    side = frozenset(reach)
+    witness = frozenset(e for e in g.edges if (e[0] in side) != (e[1] in side))
+    assert len(witness) == flow
+    return MinCutResult(flow, witness, (side, frozenset(range(g.n)) - side))
+
+
 def _component_cut(g: Graph, witness: frozenset[Edge]) -> MinCutResult:
     """``witness`` with the component of vertex 0 in g minus it as one side."""
     labels = Graph(g.n, g.edges - witness).component_labels()
@@ -95,7 +115,7 @@ def _disconnected_cut(g: Graph) -> Optional[MinCutResult]:
 
 
 def edge_connectivity(g: Graph) -> MinCutResult:
-    """Exact kappa' via max-flow from vertex 0 to every other sink.
+    """Exact kappa' as the smallest minimum 0-t cut over the sinks t.
 
     Ties between sinks break toward the smallest sink id, so the witness is
     deterministic.  Disconnected graphs get value 0 with an empty witness.
@@ -103,20 +123,11 @@ def edge_connectivity(g: Graph) -> MinCutResult:
     trivial = _disconnected_cut(g)
     if trivial is not None:
         return trivial
-    adj = [list(g.neighbors(v)) for v in range(g.n)]
-    best: Optional[int] = None
-    best_t = 1
-    for t in range(1, g.n):
-        val, _ = _unit_max_flow(adj, 0, t, limit=best)
-        if best is None or val < best:
-            best, best_t = val, t
+    best = min_st_cut(g, 0, 1)
     assert best is not None
-    _, reach = _unit_max_flow(adj, 0, best_t)
-    assert reach is not None
-    side = frozenset(reach)
-    witness = frozenset(e for e in g.edges if (e[0] in side) != (e[1] in side))
-    assert len(witness) == best
-    return MinCutResult(best, witness, (side, frozenset(range(g.n)) - side))
+    for t in range(2, g.n):
+        best = min_st_cut(g, 0, t, limit=best.value) or best
+    return best
 
 
 # ---------------------------------------------------------------------------

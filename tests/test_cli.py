@@ -122,7 +122,7 @@ def test_family_command(capsys):
     code = main(["family", "2"])
     out = capsys.readouterr().out.strip()
     assert code == 0
-    assert parse_graph6(out) == exceptional_member(2).graph
+    assert parse_graph6(out) == exceptional_member(2)
 
 
 def test_verify_command(tmp_path, capsys):

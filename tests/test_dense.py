@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from strategies import connected_graphs as connected_graphs_st
 from strategies import dense_factors
-from tensorcut.catalog import connected_graphs, is_isomorphic
+from tensorcut.catalog import all_graphs, connected_graphs, is_isomorphic
 from tensorcut.dense import (
     Branch,
     CutClassificationError,
@@ -46,7 +46,7 @@ def bridged(block: Graph) -> Graph:
 def test_dense_precondition_examples():
     assert dense_precondition(K3)
     assert not dense_precondition(cycle_graph(5))
-    assert dense_precondition(exceptional_member(2).graph)  # 8 > 7
+    assert dense_precondition(exceptional_member(2))  # 8 > 7
     assert not dense_precondition(complete_bipartite_graph(3, 3))
 
 
@@ -203,8 +203,7 @@ def test_super_kn_false_case_has_nonstar_witness():
 
 def test_exceptional_member_invariants():
     for l in (1, 2, 3, 4):
-        member = exceptional_member(l)
-        g = member.graph
+        g = exceptional_member(l)
         assert g.n == 4 * l - 1
         assert all(g.degree(v) == 2 * l for v in range(g.n))
         assert dense_precondition(g)
@@ -213,14 +212,14 @@ def test_exceptional_member_invariants():
         assert len(matching) == l
         core = remove_edges(g, matching)
         assert core == complete_bipartite_graph(2 * l - 1, 2 * l)
-    assert exceptional_member(1).graph == K3
+    assert exceptional_member(1) == K3
     with pytest.raises(ValueError):
         exceptional_member(0)
 
 
 def test_member_detection():
     for l in (1, 2, 3, 4):
-        assert is_exceptional_member(exceptional_member(l).graph) == l
+        assert is_exceptional_member(exceptional_member(l)) == l
     assert is_exceptional_member(cycle_graph(7)) is None
     assert is_exceptional_member(complete_graph(7)) is None
     # the other 4-regular graph on 7 vertices (complement of C_7) is not a member
@@ -228,10 +227,19 @@ def test_member_detection():
     assert is_exceptional_member(complete_graph(4)) is None
 
 
+def test_member_detection_matches_isomorphism_oracle():
+    members = {l: exceptional_member(l) for l in (1, 2)}
+    corpus = [h for n in range(1, 8) for h in all_graphs(n)]
+    assert len(corpus) == 1252
+    for h in corpus:
+        expected = next((l for l, m in members.items() if is_isomorphic(h, m)), None)
+        assert is_exceptional_member(h) == expected
+
+
 def test_member_detection_under_relabeling():
     rng = random.Random(5)
     for l in (1, 2, 3):
-        g = exceptional_member(l).graph
+        g = exceptional_member(l)
         for _ in range(5):
             perm = list(range(g.n))
             rng.shuffle(perm)
@@ -257,7 +265,7 @@ def test_exceptional_cut_properties():
 
 
 def test_exceptional_cut_is_not_induced():
-    member = exceptional_member(2).graph
+    member = exceptional_member(2)
     prod, cut = exceptional_cut(2)
     recovered = {e for e in K2.edges if lifted_edges(e, K2, member) <= cut}
     assert not recovered

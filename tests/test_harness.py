@@ -11,7 +11,7 @@ from tensorcut import harness
 from tensorcut.catalog import is_isomorphic
 from tensorcut.dense import CutClassificationError, dense_precondition, exceptional_cut
 from tensorcut.graph6 import emit_graph6
-from tensorcut.graphs import complete_graph
+from tensorcut.graphs import complete_graph, path_graph
 from tensorcut.harness import (
     CHECK_NAMES,
     CampaignConfig,
@@ -27,7 +27,7 @@ from tensorcut.harness import (
     write_jsonl,
 )
 from tensorcut.mincut import BudgetExceeded
-from tensorcut.product import format_product_cut
+from tensorcut.product import fibers_contained, format_product_cut, parse_product_cut
 
 
 def strip_ms(records):
@@ -271,17 +271,15 @@ def test_replay_consistent_record():
 
 
 def test_replay_reproduces_synthetic_mismatch():
-    # a fiber-splitting cut drives the lemma2 replay to a genuine reproduction
-    _, cut = exceptional_cut(1)
-    cert = {
-        "check": "lemma2",
-        "g": "A_",
-        "h": "Bw",
-        "cut": format_product_cut(cut, 3),
-    }
-    out = replay_certificate(cert)
-    assert out["fibers_contained"] is False
-    assert out["reproduced"] is True
+    # (K_2, P_3) lies outside Lemma 2's hypothesis: bipartite x bipartite is
+    # disconnected, so the empty cut already splits a fiber
+    pair = harness._Pair(complete_graph(2), path_graph(3), CampaignConfig())
+    rec = harness._check_lemma2(pair)
+    assert rec["status"] == "mismatch" and rec["bound"] == 1
+    cut = parse_product_cut(rec["certificate"]["cut"], 3)
+    assert len(cut) < rec["bound"]
+    assert fibers_contained(pair.g, pair.h, cut) is False  # independent oracle
+    assert replay_certificate(rec["certificate"])["reproduced"] is True
 
 
 def test_replay_theorem2_certificate():
@@ -370,12 +368,18 @@ def _negated(real):
     return lambda *args: not real(*args)
 
 
+def _limit_too_high(real):
+    return lambda g, s, t, limit=None: real(g, s, t, limit + 1)
+
+
 @pytest.mark.parametrize("check, binding, mutate, mismatches, instances", [
     ("corollary1", "kappa_formula_kn", _off_by_one, 6, 6),
     ("theorem2", "classify_min_cut", _unclassifiable, 6, 6),
     # the excluded pair (K_2, K_3) raises before the negation and stays ok
     ("corollary2", "is_super_edge_connected_kn", _negated, 5, 6),
     ("weichsel", "product_connected", _negated, 45, 45),
+    # a flow of exactly delta(G)delta(H) now passes for a cut below it
+    ("lemma2", "min_st_cut", _limit_too_high, 6, 6),
 ])
 def test_injected_fault_is_certified(monkeypatch, check, binding, mutate,
                                      mismatches, instances):

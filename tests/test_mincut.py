@@ -3,8 +3,10 @@ from itertools import combinations
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import connected_graphs as connected_graphs_st
+from strategies import graphs as graphs_st
 from tensorcut.graphs import Graph, complete_graph, cycle_graph, path_graph, remove_edges
 from tensorcut.mincut import (
     BudgetExceeded,
@@ -14,6 +16,7 @@ from tensorcut.mincut import (
     format_cut,
     is_super_edge_connected,
     is_vertex_star,
+    min_st_cut,
     parse_cut,
 )
 from tensorcut.product import direct_product
@@ -28,6 +31,31 @@ def test_edge_connectivity_examples():
     p = direct_product(cycle_graph(5), K4)
     # must equal the complete-factor closed form min{4*3*2, 3*2}
     assert edge_connectivity(p).value == 6
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_st(min_n=2, max_n=8), st.data())
+def test_min_st_cut_matches_networkx(g, data):
+    s, t = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    cut = min_st_cut(g, s, t)
+    assert cut.value == len(cut.witness) == nx.edge_connectivity(nxg, s, t)
+    labels = remove_edges(g, cut.witness).component_labels()
+    assert labels[s] != labels[t]
+    side, rest = cut.partition
+    assert s in side and t in rest and side | rest == set(range(g.n))
+    # the flow stops at the limit, and a limit above the value changes nothing
+    assert min_st_cut(g, s, t, limit=cut.value) is None
+    assert min_st_cut(g, s, t, limit=cut.value + 1) == cut
+
+
+def test_min_st_cut_rejects_bad_terminals():
+    for s, t in ((0, 0), (0, 4), (-1, 2)):
+        with pytest.raises(ValueError):
+            min_st_cut(K4, s, t)
 
 
 def test_edge_connectivity_trivial_and_disconnected():
