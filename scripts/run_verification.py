@@ -2,8 +2,9 @@
 """Run the full desk-scale verification campaign and write a JSONL report.
 
 All six checks over every connected first factor on 2..5 vertices crossed
-with every dense second factor on 3..5 vertices.  Exit status: 0 all pass,
-1 counterexample found, 2 inconclusive instances only or bad input.
+with every dense second factor on 3..5 vertices, against the max-flow oracle
+and the exact minimum-cut enumeration, so no instance is left inconclusive.
+Exit status: 0 all pass, 1 counterexample found, 2 bad input.
 """
 
 import argparse
@@ -17,7 +18,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-g-order", type=int, default=5)
     parser.add_argument("--max-h-order", type=int, default=5)
-    parser.add_argument("--budget", type=int, default=5_000_000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--checks", default=",".join(CHECK_NAMES))
     parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
@@ -28,7 +28,6 @@ def main() -> int:
         config = CampaignConfig(
             max_g_order=args.max_g_order,
             max_h_order=args.max_h_order,
-            enumeration_budget=args.budget,
             seed=args.seed,
             checks=tuple(c.strip() for c in args.checks.split(",")),
         )

@@ -54,6 +54,7 @@ from .mincut import (
     edge_connectivity,
     edge_connectivity_subset,
     enumerate_min_cuts,
+    enumerate_min_cuts_subset,
     format_cut,
     is_super_edge_connected,
     is_vertex_star,
@@ -70,7 +71,6 @@ from .product import (
     lifted_edges,
     parse_product_cut,
     product_connected,
-    quotient_graph,
     vertex_id,
     vertex_pair,
 )

@@ -188,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--factors", nargs=2, metavar=("G", "H"),
                       help="two factors: closed form vs oracle on the product")
     p.add_argument("--oracle", choices=("maxflow", "subset"), default="maxflow")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most edge subsets the subset oracle may test")
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("classify", help="classify a minimum cut of a product")
@@ -202,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--brute", action="store_true",
                    help="also run the exhaustive definitional check")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most edge subsets the --brute scan may test")
     p.set_defaults(func=_cmd_super)
 
     p = sub.add_parser("family", help="emit exceptional family member l as graph6")
@@ -211,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("config", nargs="?", help="flat key=value config file")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="most edge subsets the subset oracle may test per pair; "
+                        "only --oracle subset can run out of it (exit 2)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checks", default=None,
                    help=f"comma list from {','.join(CHECK_NAMES)}")

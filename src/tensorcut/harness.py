@@ -3,7 +3,8 @@
 A campaign crosses a corpus of first factors with a corpus of dense second
 factors and runs the selected checks on every pair.  Any disagreement with
 the brute-force oracles is recorded as a replayable counterexample
-certificate; budget-limited instances are marked inconclusive, never failed.
+certificate.  Only the budgeted subset oracle (``oracle = subset``) can leave
+an instance inconclusive, and it is then marked so, never failed.
 """
 
 from __future__ import annotations
@@ -199,8 +200,7 @@ class _Pair:
     g: Graph
     h: Graph
     config: CampaignConfig
-    enumerated: bool = False  # see _cached_enumeration
-    cuts: Optional[tuple[frozenset[Edge], ...]] = None
+    cuts: Optional[tuple[frozenset[Edge], ...]] = None  # see _cached_enumeration
 
     @cached_property
     def product(self) -> Graph:
@@ -223,16 +223,10 @@ class _Pair:
             return None
 
 
-def _cached_enumeration(pair: _Pair) -> Optional[tuple[frozenset[Edge], ...]]:
-    """The pair's minimum cuts, enumerated by the first check that asks;
-    None when they do not fit the budget."""
-    if not pair.enumerated:
-        pair.enumerated = True
-        try:
-            pair.cuts = enumerate_min_cuts(
-                pair.product, pair.config.enumeration_budget).cuts
-        except BudgetExceeded:
-            pass
+def _cached_enumeration(pair: _Pair) -> tuple[frozenset[Edge], ...]:
+    """The pair's minimum cuts, enumerated by the first check that asks."""
+    if pair.cuts is None:
+        pair.cuts = enumerate_min_cuts(pair.product).cuts
     return pair.cuts
 
 
@@ -307,9 +301,6 @@ def _check_theorem2(pair: _Pair) -> dict:
     rec: dict = {"kappa": pair.kappa,
                  "subsets": math.comb(len(pair.product.edges), pair.kappa)}
     cuts = _cached_enumeration(pair)
-    if cuts is None:
-        rec.update(exhaustive=False, status="inconclusive")
-        return rec
     counts = {v.value: 0 for v in CutVerdict}
     exceptional_pair = g == complete_graph(2) and is_exceptional_member(h) is not None
     rec.update(exhaustive=True, cuts=len(cuts), exceptional_pair=exceptional_pair)
@@ -343,11 +334,8 @@ def _check_theorem2(pair: _Pair) -> dict:
 def _check_corollary2(pair: _Pair) -> dict:
     n = pair.h.n
     rec: dict = {"n": n}
-    cuts = _cached_enumeration(pair)
-    if cuts is None:
-        rec.update(status="inconclusive", exhaustive=False)
-        return rec
-    brute = all(is_vertex_star(pair.product, c) is not None for c in cuts)
+    brute = all(is_vertex_star(pair.product, c) is not None
+                for c in _cached_enumeration(pair))
     rec["bruteforce"] = brute
     try:
         predicted = is_super_edge_connected_kn(pair.g, n)

@@ -1,14 +1,18 @@
-"""Exact edge connectivity and bounded exhaustive enumeration of minimum cuts.
+"""Exact edge connectivity, exact enumeration of all minimum cuts, and a
+budgeted subset-scan oracle for both.
 
-Two independent routes to kappa': unit-capacity max-flow over all sinks, and
-a budgeted brute-force scan of edge subsets.  The scan is the ground-truth
-oracle for structural claims about minimum cuts, so it stays assumption-free:
+The exact routes run on unit-capacity max-flow: kappa' as the smallest
+minimum 0-t cut over the sinks t, and every minimum cut as a vertex set
+closed under the residual arcs of a max-flow (Picard and Queyranne, "On the
+structure of all minimum cuts in a network", 1980).  The brute-force scan of
+edge subsets is the independent oracle for both, so it stays assumption-free:
 every k-subset is tested for disconnection (in vectorized batches), except
 subsets that touch no spanning-tree edge, which provably cannot disconnect.
 
 One budget caps every scan.  Over it, ``edge_connectivity_subset``,
-``enumerate_min_cuts`` and ``is_super_edge_connected`` raise BudgetExceeded
-instead of answering from a partial scan, so a cut list is always complete.
+``enumerate_min_cuts_subset`` and ``is_super_edge_connected`` raise
+BudgetExceeded instead of answering from a partial scan, so a cut list is
+always complete.  The max-flow routes need no budget.
 """
 
 from __future__ import annotations
@@ -48,20 +52,24 @@ class CutEnumeration:
 
 
 def _unit_max_flow(
-    g: Graph, s: int, t: int, limit: Optional[int] = None
-) -> tuple[int, Optional[set[int]]]:
-    """Edmonds-Karp with capacity 1 per direction on every edge.
+    g: Graph, sources: Iterable[int], t: int, limit: Optional[int] = None
+) -> tuple[int, Optional[set[int]], list[dict[int, int]]]:
+    """Edmonds-Karp with capacity 1 per direction on every edge, from the
+    source set merged into one vertex to the sink t.
 
-    Returns (flow, source-side reachable set).  When ``limit`` is given the
+    Returns (flow, source-side reachable set, residual capacities), where
+    ``cap[u][w] > 0`` is a residual arc u -> w.  When ``limit`` is given the
     search aborts as soon as the flow reaches it and the reachable set is None.
     """
     n = g.n
     cap = [dict.fromkeys(g.neighbors(v), 1) for v in range(n)]
+    sources = tuple(sources)
     flow = 0
     while limit is None or flow < limit:
         parent = [-1] * n
-        parent[s] = s
-        queue = deque([s])
+        for s in sources:
+            parent[s] = s
+        queue = deque(sources)
         while queue and parent[t] == -1:
             u = queue.popleft()
             for w, c in cap[u].items():
@@ -69,15 +77,15 @@ def _unit_max_flow(
                     parent[w] = u
                     queue.append(w)
         if parent[t] == -1:
-            return flow, {v for v in range(n) if parent[v] != -1}
+            return flow, {v for v in range(n) if parent[v] != -1}, cap
         v = t
-        while v != s:
+        while parent[v] != v:
             u = parent[v]
             cap[u][v] -= 1
-            cap[v][u] = cap[v].get(u, 0) + 1
+            cap[v][u] += 1
             v = u
         flow += 1
-    return flow, None
+    return flow, None, cap
 
 
 def min_st_cut(
@@ -91,7 +99,7 @@ def min_st_cut(
     """
     if not (0 <= s < g.n and 0 <= t < g.n) or s == t:
         raise ValueError(f"need two distinct vertices of 0..{g.n - 1}, got {s} and {t}")
-    flow, reach = _unit_max_flow(g, s, t, limit)
+    flow, reach, _ = _unit_max_flow(g, (s,), t, limit)
     if reach is None:
         return None
     side = frozenset(reach)
@@ -128,6 +136,82 @@ def edge_connectivity(g: Graph) -> MinCutResult:
     for t in range(2, g.n):
         best = min_st_cut(g, 0, t, limit=best.value) or best
     return best
+
+
+# ---------------------------------------------------------------------------
+# Exact enumeration of all minimum cuts (Picard-Queyranne).
+
+def _closure(start: int, arcs: list[int]) -> int:
+    """The vertices reachable from the bitmask ``start`` along ``arcs``
+    (per-vertex successor bitmasks), as a bitmask."""
+    seen = frontier = start
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = arcs[v] & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int]:
+    """Every vertex set, as a bitmask, that contains the bitmask ``block``,
+    avoids t and is closed under the residual arcs ``cap`` of a maximum flow
+    from the block to t: the source sides of the minimum block-t cuts.
+
+    Include/exclude branching on the lowest undecided vertex: including it
+    adds what it reaches, excluding it adds what reaches it.  Both closures
+    avoid the other side, so every branch ends in one such set.
+    """
+    n = len(cap)
+    succ = [0] * n
+    pred = [0] * n
+    for u in range(n):
+        for w, c in cap[u].items():
+            if c > 0:
+                succ[u] |= 1 << w
+                pred[w] |= 1 << u
+    full = (1 << n) - 1
+    stack = [(_closure(block, succ), _closure(1 << t, pred))]
+    while stack:
+        inside, outside = stack.pop()
+        free = full & ~(inside | outside)
+        if not free:
+            yield inside
+            continue
+        v = free & -free
+        stack.append((inside, outside | _closure(v, pred)))
+        stack.append((inside | _closure(v, succ), outside))
+
+
+def enumerate_min_cuts(g: Graph) -> CutEnumeration:
+    """All minimum edge cuts of a connected graph, exactly and without a budget.
+
+    A minimum cut is found once, at the smallest vertex t outside vertex 0's
+    side: it is then a minimum cut between the block {0..t-1} and t.  So for
+    t = 1..n-1 a max-flow runs from that block to t; kappa' is the least of
+    the flow values, and for each t that attains it the cuts are the residual
+    closed vertex sets between the block and t (Picard-Queyranne).
+    """
+    if g.n < 2 or not g.is_connected():
+        raise ValueError("minimum-cut enumeration requires a connected graph")
+    # kappa' <= delta (Whitney), and a flow that passes the least value so
+    # far stops at once: it cannot attain the minimum.
+    value, attained = g.min_degree(), []
+    for t in range(1, g.n):
+        flow, reach, cap = _unit_max_flow(g, range(t), t, limit=value + 1)
+        if reach is None:
+            continue
+        if flow < value:
+            value, attained = flow, []
+        attained.append((t, cap))
+    cuts = []
+    for t, cap in attained:
+        for side in _closed_sides(cap, (1 << t) - 1, t):
+            cut = frozenset(e for e in g.edges if (side >> e[0] & 1) != (side >> e[1] & 1))
+            assert len(cut) == value
+            cuts.append(cut)
+    return CutEnumeration(tuple(sorted(cuts, key=sorted)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +308,11 @@ def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutRe
     raise AssertionError("removing a minimum-degree star must disconnect")
 
 
-def enumerate_min_cuts(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnumeration:
+def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnumeration:
     """All minimum edge cuts, by scanning the C(|E|, kappa') edge subsets.
 
-    Raises BudgetExceeded, before scanning, when that count exceeds the budget.
+    The oracle for ``enumerate_min_cuts``.  Raises BudgetExceeded, before
+    scanning, when that count exceeds the budget.
     """
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
@@ -269,7 +354,7 @@ def is_super_edge_connected(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
     Raises BudgetExceeded when the cut enumeration does not fit the budget.
     """
     return all(is_vertex_star(g, c) is not None
-               for c in enumerate_min_cuts(g, budget).cuts)
+               for c in enumerate_min_cuts_subset(g, budget).cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Direct (tensor) products, H-fibers, lifted edge cuts, and fiber quotients.
+"""Direct (tensor) products, H-fibers, lifted edge cuts, and fiber containment.
 
 The product vertex (x, u) is linearized as x*|H| + u, so the H-fiber over x
 is the contiguous id block [x*|H|, (x+1)*|H|).
@@ -94,20 +94,6 @@ def check_product_cut(cut: Iterable[Edge], product: Graph) -> ProductEdgeCut:
     if stray:
         raise ValueError(f"cut edges not in the product: {sorted(stray)}")
     return norm
-
-
-def quotient_graph(g: Graph, h: Graph, cut: Iterable[Edge]) -> Graph:
-    """Graph on the fibers: x ~ y when some surviving product edge joins them.
-
-    With cut = induced_cut(s0) this is exactly g - s0.
-    """
-    product = direct_product(g, h)
-    norm = check_product_cut(cut, product)
-    nh = h.n
-    quot = set()
-    for p, q in product.edges - norm:
-        quot.add(edge(p // nh, q // nh))
-    return Graph(g.n, quot)
 
 
 def fibers_contained(g: Graph, h: Graph, cut: Iterable[Edge]) -> bool:

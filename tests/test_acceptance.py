@@ -104,17 +104,13 @@ def test_criterion_2_complete_factor_specialization(g_corpus):
 def test_criterion_3_cut_classification(g_corpus, h_corpus, enum_cache):
     t0 = time.perf_counter()
     classified = 0
-    scanned_pairs = 0
-    skipped = 0
+    pairs = 0
     for g in g_corpus:
         for h in h_corpus:
             product = direct_product(g, h)
             value = kappa_formula(g, h).value
-            if math.comb(len(product.edges), value) > BUDGET:
-                skipped += 1
-                continue
-            scanned_pairs += 1
-            enum = enum_cache(product, BUDGET)
+            pairs += 1
+            enum = enum_cache(product)
             assert edge_connectivity(product).value == value
             exceptional_pair = (
                 g == K2 and is_exceptional_member(h) is not None
@@ -138,24 +134,23 @@ def test_criterion_3_cut_classification(g_corpus, h_corpus, enum_cache):
             if result.degree_bound < result.factor_cut_bound and not exceptional_pair:
                 assert seen[CutVerdict.VERTEX_STAR] > 0
 
+    assert pairs == 150
+
     # specific instance: the six-cycle has exactly C(6,2) = 15 minimum cuts
     c6 = direct_product(K2, K3)
-    enum = enum_cache(c6, BUDGET)
-    assert len(enum.cuts) == 15
+    assert len(enum_cache(c6).cuts) == 15
 
-    # specific instance: C_4 x K_3 sits exactly at a 10626-subset scan
+    # specific instance: C_4 x K_3, whose 10626-subset scan agrees
     c4k3 = direct_product(cycle_graph(4), K3)
     value = kappa_formula(cycle_graph(4), K3).value
     assert math.comb(len(c4k3.edges), value) == 10626
-    enum = enum_cache(c4k3, BUDGET)
-    for cut in enum.cuts:
-        classify_min_cut(cycle_graph(4), K3, cut)
+    assert enum_cache(c4k3) == enum_cache(c4k3, BUDGET)
 
     _report(
         "criterion 3 (minimum-cut classification)",
         True,
-        f"{scanned_pairs} exhaustive pairs ({skipped} over budget), "
-        f"{classified} cuts classified, {time.perf_counter() - t0:.1f}s",
+        f"{pairs} pairs, {classified} cuts classified, "
+        f"{time.perf_counter() - t0:.1f}s",
     )
 
 
@@ -179,17 +174,12 @@ def test_criterion_3_c6_shows_all_three_verdict_kinds(enum_cache):
 def test_criterion_4_super_edge_connectivity(g_corpus, enum_cache):
     t0 = time.perf_counter()
     compared = 0
-    skipped = 0
     excluded_checked = False
     for n in (3, 4):
         kn = complete_graph(n)
         for g in g_corpus:
             product = direct_product(g, kn)
-            value = edge_connectivity(product).value
-            if math.comb(len(product.edges), value) > BUDGET:
-                skipped += 1
-                continue
-            enum = enum_cache(product, BUDGET)
+            enum = enum_cache(product)
             brute = all(is_vertex_star(product, c) is not None for c in enum.cuts)
             if g == K2 and n == 3:
                 with pytest.raises(ExcludedCaseError) as info:
@@ -200,11 +190,11 @@ def test_criterion_4_super_edge_connectivity(g_corpus, enum_cache):
                 continue
             compared += 1
             assert is_super_edge_connected_kn(g, n) == brute, (emit_graph6(g), n)
-    assert excluded_checked
+    assert excluded_checked and compared == 59
     _report(
         "criterion 4 (super-edge-connectivity criterion)",
         True,
-        f"{compared} pairs agree ({skipped} over budget), excluded pair "
+        f"{compared} pairs agree, excluded pair "
         f"confirmed non-super, {time.perf_counter() - t0:.1f}s",
     )
 

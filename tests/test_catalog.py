@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strategies import graphs
+from tensorcut import catalog
 from tensorcut.catalog import all_graphs, canonical_key, connected_graphs, is_isomorphic
 from tensorcut.graphs import Graph, complete_graph, cycle_graph, disjoint_union
 
@@ -16,11 +17,12 @@ def test_enumeration_counts():
     assert [len(connected_graphs(n)) for n in range(1, 8)] == [1, 1, 2, 6, 21, 112, 853]
 
 
-def test_enumeration_is_deterministic():
+def test_enumeration_is_deterministic(monkeypatch):
     first = all_graphs(5)
-    all_graphs.cache_clear()
-    connected_graphs.cache_clear()
-    assert all_graphs(5) == first
+    # rebuild orders 1..5 from scratch, leaving the shared caches untouched
+    monkeypatch.setattr(catalog, "all_graphs", all_graphs.__wrapped__)
+    assert catalog.all_graphs(5) == first
+    assert all_graphs(5) is first
 
 
 def test_enumeration_order_cap():

@@ -141,10 +141,10 @@ def test_verify_overrides_and_output(tmp_path, capsys):
     cfg.write_text("max_g_order = 2\nmax_h_order = 3\n")
     out_path = tmp_path / "report.csv"
     code = main([
-        "verify", str(cfg), "--checks", "theorem2", "--budget", "5",
-        "--format", "csv", "--output", str(out_path),
+        "verify", str(cfg), "--checks", "theorem1", "--oracle", "subset",
+        "--budget", "5", "--format", "csv", "--output", str(out_path),
     ])
-    assert code == 2  # inconclusive only under the tiny budget
+    assert code == 2  # the subset oracle is inconclusive under the tiny budget
     text = out_path.read_text()
     assert text.startswith("record,")
     assert "inconclusive" in text

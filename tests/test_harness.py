@@ -7,7 +7,7 @@ import platform
 import pytest
 
 import tensorcut
-from tensorcut import harness
+from tensorcut import harness, mincut
 from tensorcut.catalog import is_isomorphic
 from tensorcut.dense import CutClassificationError, dense_precondition, exceptional_cut
 from tensorcut.graph6 import emit_graph6
@@ -205,30 +205,39 @@ def test_weichsel_check_covers_bipartite_pairs():
 
 
 def test_inconclusive_exit_code():
-    cfg = CampaignConfig(max_g_order=2, max_h_order=3,
-                         checks=("theorem2",), enumeration_budget=5)
+    # only the subset oracle has a budget to run out of; enumeration has none
+    cfg = CampaignConfig(max_g_order=2, max_h_order=3, checks=("theorem1", "theorem2"),
+                         oracle="subset", enumeration_budget=5)
     report = run_campaign(cfg)
+    assert [r["status"] for r in report.records] == ["inconclusive", "ok"]
     assert report.summary["inconclusive"] == 1
     assert report.exit_code == 2
 
 
-def test_over_budget_pairs_enumerate_once(monkeypatch):
-    calls = []
-    real = harness.enumerate_min_cuts
+def test_pairs_enumerate_once(monkeypatch):
+    enumerated, flows = [], []
+    real_enum, real_flow = harness.enumerate_min_cuts, mincut.edge_connectivity
 
-    def counting(product, budget):
-        calls.append(product)
-        return real(product, budget)
+    def counting_enum(product):
+        enumerated.append(product)
+        return real_enum(product)
 
-    monkeypatch.setattr(harness, "enumerate_min_cuts", counting)
+    def counting_flow(g):
+        flows.append(g)
+        return real_flow(g)
+
+    monkeypatch.setattr(harness, "enumerate_min_cuts", counting_enum)
+    monkeypatch.setattr(harness, "edge_connectivity", counting_flow)
+    monkeypatch.setattr(mincut, "edge_connectivity", counting_flow)
     cfg = CampaignConfig(max_g_order=3, max_h_order=4, enumeration_budget=5,
                          checks=("theorem2", "corollary2"))
     report = run_campaign(cfg)
     assert len(report.records) == 12
-    assert all(r["status"] == "inconclusive" and r["exhaustive"] is False
-               for r in report.records)
-    # theorem2 asks once per pair; corollary2 reuses the over-budget answer
-    assert len(calls) == 6
+    assert all(r["status"] == "ok" for r in report.records)
+    # theorem2 enumerates each of the 6 pairs once and corollary2 reuses it;
+    # each product's kappa' is one max-flow call, none inside the enumeration
+    assert len(enumerated) == len(set(enumerated)) == 6
+    assert [g for g in flows if g in enumerated] == enumerated
 
 
 def test_exit_code_on_mismatch():

@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import networkx as nx
@@ -7,12 +8,15 @@ from hypothesis import strategies as st
 
 from strategies import connected_graphs as connected_graphs_st
 from strategies import graphs as graphs_st
+from tensorcut.catalog import all_graphs, connected_graphs
+from tensorcut.dense import dense_precondition
 from tensorcut.graphs import Graph, complete_graph, cycle_graph, path_graph, remove_edges
 from tensorcut.mincut import (
     BudgetExceeded,
     edge_connectivity,
     edge_connectivity_subset,
     enumerate_min_cuts,
+    enumerate_min_cuts_subset,
     format_cut,
     is_super_edge_connected,
     is_vertex_star,
@@ -132,15 +136,56 @@ def test_enumerate_matches_naive_scan():
 
 
 def test_enumerate_budget_fallback():
-    # C(60, 6) subsets do not fit: no partial cut list is returned
+    # the scan oracle would test C(60, 6) subsets: no partial cut list is
+    # returned, while the max-flow engine needs no budget
     p = direct_product(cycle_graph(5), K4)
     with pytest.raises(BudgetExceeded, match="50063860 subsets \\(budget 1000\\)"):
-        enumerate_min_cuts(p, budget=1000)
+        enumerate_min_cuts_subset(p, budget=1000)
+    assert len(enumerate_min_cuts(p).cuts) == 20  # the 20 vertex stars
 
 
 def test_enumerate_rejects_disconnected():
-    with pytest.raises(ValueError):
-        enumerate_min_cuts(Graph(4, {(0, 1), (2, 3)}))
+    for enumerate_cuts in (enumerate_min_cuts, enumerate_min_cuts_subset):
+        with pytest.raises(ValueError):
+            enumerate_cuts(Graph(4, {(0, 1), (2, 3)}))
+        with pytest.raises(ValueError):
+            enumerate_cuts(Graph(1))
+
+
+def test_enumeration_matches_subset_scan_on_small_graphs():
+    # every connected graph on 2..6 vertices (142 graphs)
+    graphs = [g for n in range(2, 7) for g in connected_graphs(n)]
+    assert len(graphs) == 142
+    for g in graphs:
+        assert enumerate_min_cuts(g) == enumerate_min_cuts_subset(g), g
+
+
+def test_enumeration_matches_subset_scan_on_products():
+    # G on 2..4 vertices x dense H on 3..4 wherever the scan is small
+    compared = 0
+    for g in (g for n in range(2, 5) for g in connected_graphs(n)):
+        for h in (h for n in (3, 4) for h in all_graphs(n) if dense_precondition(h)):
+            p = direct_product(g, h)
+            if math.comb(len(p.edges), edge_connectivity(p).value) > 200_000:
+                continue
+            assert enumerate_min_cuts(p) == enumerate_min_cuts_subset(p), (g, h)
+            compared += 1
+    assert compared == 13
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs_st(max_n=10))
+def test_enumeration_agrees_with_stoer_wagner(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    value, _ = nx.stoer_wagner(nxg)
+    cuts = enumerate_min_cuts(g).cuts
+    assert cuts and all(len(cut) == value for cut in cuts)
+    assert all(not remove_edges(g, cut).is_connected() for cut in cuts)
+    assert len(set(cuts)) == len(cuts)
+    # a graph has at most C(n, 2) minimum cuts (Dinits-Karzanov-Lomonosov)
+    assert len(cuts) <= math.comb(g.n, 2)
 
 
 @settings(max_examples=30)

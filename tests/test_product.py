@@ -16,7 +16,6 @@ from tensorcut.product import (
     lifted_edges,
     parse_product_cut,
     product_connected,
-    quotient_graph,
     vertex_id,
     vertex_pair,
 )
@@ -121,31 +120,6 @@ def test_induced_cut_removal_is_factor_deletion():
             assert left == right
 
 
-def test_quotient_examples():
-    g = two_triangles_with_bridge()
-    assert quotient_graph(g, K3, frozenset()) == g
-
-    q = quotient_graph(g, K3, induced_cut({(0, 3)}, g, K3))
-    assert q == remove_edges(g, {(0, 3)})
-    assert not q.is_connected()
-
-    prod = direct_product(K3, K4)
-    star = frozenset(e for e in prod.edges if 0 in e)
-    assert quotient_graph(K3, K4, star) == K3
-
-
-def test_quotient_equals_factor_deletion_exhaustively():
-    for g in (cycle_graph(4), complete_graph(4), two_triangles_with_bridge()):
-        for s0 in _edge_subsets(g.edges):
-            cut = induced_cut(s0, g, K3)
-            assert quotient_graph(g, K3, cut) == remove_edges(g, s0)
-
-
-def test_quotient_rejects_non_product_edges():
-    with pytest.raises(ValueError):
-        quotient_graph(K2, K3, {(0, 1)})  # (0,1) is within a fiber, not a product edge
-
-
 def test_fibers_contained_examples():
     assert fibers_contained(K2, K3, frozenset())
 
@@ -162,6 +136,9 @@ def test_fibers_contained_examples():
     cut = frozenset({(vertex_id(0, 1, 3), vertex_id(1, 2, 3)),
                      (vertex_id(0, 2, 3), vertex_id(1, 1, 3))})
     assert not fibers_contained(K2, K3, cut)
+
+    with pytest.raises(ValueError):
+        fibers_contained(K2, K3, {(0, 1)})  # (0,1) is within a fiber, not a product edge
 
 
 @settings(max_examples=40)
