@@ -6,8 +6,11 @@ minimum 0-t cut over the sinks t, and every minimum cut as a vertex set
 closed under the residual arcs of a max-flow (Picard and Queyranne, "On the
 structure of all minimum cuts in a network", 1980).  The brute-force scan of
 edge subsets is the independent oracle for both, so it stays assumption-free:
-every k-subset is tested for disconnection (in vectorized batches), except
-subsets that touch no spanning-tree edge, which provably cannot disconnect.
+every k-subset is tested for disconnection, except subsets that touch no
+spanning-tree edge, which provably cannot disconnect.  The test runs on
+blocks of subsets at once: each subset gets a copy of the adjacency rows as
+uint64 bitmasks with its edges' bits cleared, and reachability from vertex 0
+grows by sweeps over the vertices until it stops changing.
 
 One budget caps every scan.  Over it, ``edge_connectivity_subset``,
 ``enumerate_min_cuts_subset`` and ``is_super_edge_connected`` raise
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -28,7 +31,10 @@ import numpy as np
 from .graphs import Edge, Graph, edge
 
 DEFAULT_BUDGET = 5_000_000
+# A block of the subset scan holds min(_BATCH, _BLOCK_BYTES // (8 n W))
+# subsets, so its adjacency rows stay within _BLOCK_BYTES whatever the order n.
 _BATCH = 32768
+_BLOCK_BYTES = 1 << 20
 
 
 class BudgetExceeded(Exception):
@@ -241,48 +247,128 @@ def _scan_order(g: Graph) -> tuple[list[Edge], int]:
     return forest + rest, len(forest)
 
 
+def _subset_blocks(m: int, k: int, tree_size: int, rows: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(m) whose first index is below ``tree_size``, in
+    lexicographic order, as index arrays of ``rows`` rows (the last one
+    shorter).
+
+    Each (k-1)-prefix comes from ``itertools.combinations`` and its run of
+    last indices from ``numpy.arange``, so no Python tuple is built per subset.
+    """
+    if k == 1:
+        for lo in range(0, tree_size, rows):
+            yield np.arange(lo, min(lo + rows, tree_size))[:, None]
+        return
+    carry = np.empty((0, k), dtype=np.intp)
+    prefixes: list[tuple[int, ...]] = []
+    count = 0
+    for prefix in combinations(range(m - 1), k - 1):
+        if prefix[0] >= tree_size:
+            break
+        prefixes.append(prefix)
+        count += m - 1 - prefix[-1]
+        if count < rows:
+            continue
+        block = np.concatenate((carry, _expand(prefixes, m)))
+        cut = len(block) - len(block) % rows
+        for lo in range(0, cut, rows):
+            yield block[lo:lo + rows]
+        carry, prefixes, count = block[cut:], [], len(block) - cut
+    if prefixes:
+        carry = np.concatenate((carry, _expand(prefixes, m)))
+    if len(carry):
+        yield carry
+
+
+def _expand(prefixes: list[tuple[int, ...]], m: int) -> np.ndarray:
+    """Every subset that extends one of the prefixes by a last index above
+    its own last index and below m, in lexicographic order."""
+    p = np.array(prefixes, dtype=np.intp)
+    start = p[:, -1] + 1
+    runs = m - start
+    first_row = np.cumsum(runs) - runs
+    last = np.arange(runs.sum()) + np.repeat(start - first_row, runs)
+    return np.column_stack((np.repeat(p, runs, axis=0), last))
+
+
+def _word_bits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The word index and the bit of each vertex in a row of uint64 words."""
+    return v >> 6, np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
+
+
 def _disconnecting_subsets(
     g: Graph, k: int, order: list[Edge], tree_size: int
 ) -> Iterator[tuple[int, ...]]:
-    """Yield index k-subsets of ``order`` whose removal disconnects g."""
+    """Yield index k-subsets of ``order`` whose removal disconnects g, in
+    lexicographic order, skipping those that touch no spanning-tree edge.
+
+    Each vertex's adjacency row is a bitmask of W = ceil(n/64) uint64 words.
+    A block of b subsets gets its own copy of every row, laid out (n, b, W) so
+    that one vertex's rows are contiguous; each subset position then clears
+    its edge's two bits.  Reachability grows from vertex 0 by in-place sweeps
+    over the vertices, alternately up and down, until a sweep adds nothing.
+    A block holds at most ``_BATCH`` subsets and ``_BLOCK_BYTES`` of rows.  Its
+    arrays are allocated once per block size and reused, and the sweeps write
+    into them, so the blocks of a scan do not allocate and fault in fresh
+    memory.
+    """
     if k == 0:
         return
     n = g.n
-    base = np.zeros((n, n), dtype=bool)
-    for u, v in order:
-        base[u, v] = base[v, u] = True
-    eu = np.array([e[0] for e in order])
-    ev = np.array([e[1] for e in order])
+    words = (n + 63) // 64
+    eu = np.array([e[0] for e in order], dtype=np.intp)
+    ev = np.array([e[1] for e in order], dtype=np.intp)
+    word_u, bit_u = _word_bits(eu)
+    word_v, bit_v = _word_bits(ev)
+    keep_u, keep_v = ~bit_u, ~bit_v
+    base = np.zeros((n, words), dtype=np.uint64)
+    np.bitwise_or.at(base, (eu, word_v), bit_v)
+    np.bitwise_or.at(base, (ev, word_u), bit_u)
+    full = np.zeros(words, dtype=np.uint64)
+    np.bitwise_or.at(full, *_word_bits(np.arange(n)))
+    rows = max(1, min(_BATCH, _BLOCK_BYTES // (8 * n * words)))
+    one = np.uint64(1)
 
-    gen = combinations(range(len(order)), k)
-    done = False
-    while not done:
-        chunk = list(islice(gen, _BATCH))
-        if not chunk:
-            break
-        if chunk[0][0] >= tree_size:
-            break
-        if chunk[-1][0] >= tree_size:
-            chunk = [c for c in chunk if c[0] < tree_size]
-            done = True
+    size = 0
+    for idx in _subset_blocks(len(order), k, tree_size, rows):
+        b = len(idx)
+        if b != size:  # every block but the last has `rows` subsets
+            size = b
+            adj = np.empty((n, b, words), dtype=np.uint64)
+            reach = np.empty((b, words), dtype=np.uint64)
+            before, grow = np.empty_like(reach), np.empty_like(reach)
+            hit = np.empty((b, 1), dtype=np.uint64)
+            # per vertex: its rows, the reach word holding its bit, the shift
+            steps = [(adj[v], reach[:, v >> 6:(v >> 6) + 1], np.uint64(v & 63))
+                     for v in range(n)]
+            # flat position of the word holding v in u's row, for subset 0 of
+            # the block; subset i is i * words further on
+            flat = adj.reshape(-1)
+            at_u = eu * (b * words) + word_v
+            at_v = ev * (b * words) + word_u
+            row = np.arange(b) * words
+        np.copyto(adj, base[:, None, :])
+        # one subset position at a time, so each statement has distinct
+        # targets: a fancy `&=` with repeated targets would apply only one
+        for e in idx.T:
+            flat[at_u[e] + row] &= keep_v[e]
+            flat[at_v[e] + row] &= keep_u[e]
 
-        idx = np.array(chunk, dtype=np.intp)
-        b = len(chunk)
-        adj = np.broadcast_to(base, (b, n, n)).copy()
-        rows = np.arange(b)[:, None]
-        adj[rows, eu[idx], ev[idx]] = False
-        adj[rows, ev[idx], eu[idx]] = False
-
-        reach = np.zeros((b, n), dtype=bool)
-        reach[:, 0] = True
+        reach.fill(0)
+        reach[:, 0] = 1
+        sweep = steps
         while True:
-            step = (adj & reach[:, None, :]).any(axis=2)
-            grow = step & ~reach
-            if not grow.any():
+            np.copyto(before, reach)
+            for rows_v, word, shift in sweep:
+                np.right_shift(word, shift, out=hit)
+                np.bitwise_and(hit, one, out=hit)
+                np.multiply(rows_v, hit, out=grow)
+                np.bitwise_or(reach, grow, out=reach)
+            if np.array_equal(reach, before):
                 break
-            reach |= grow
-        for i in np.flatnonzero(~reach.all(axis=1)):
-            yield chunk[i]
+            sweep = sweep[::-1]
+        for i in np.flatnonzero((reach != full).any(axis=1)):
+            yield tuple(idx[i].tolist())
 
 
 def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutResult:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from strategies import connected_graphs as connected_graphs_st
 from strategies import graphs as graphs_st
+from tensorcut import mincut
 from tensorcut.catalog import all_graphs, connected_graphs
 from tensorcut.dense import dense_precondition
 from tensorcut.graphs import Graph, complete_graph, cycle_graph, path_graph, remove_edges
@@ -105,6 +106,80 @@ def test_maxflow_agrees_with_networkx(g):
 def test_subset_search_budget():
     with pytest.raises(BudgetExceeded):
         edge_connectivity_subset(complete_graph(7), budget=10)
+
+
+def _plain_scan(g, k):
+    """The subset scan done plainly: every tree-touching k-subset of the scan
+    order, in lexicographic order, that disconnects g."""
+    order, tree_size = mincut._scan_order(g)
+    return (c for c in combinations(range(len(order)), k)
+            if c[0] < tree_size
+            and not remove_edges(g, [order[i] for i in c]).is_connected())
+
+
+def _kernel_disconnecting(g, k):
+    order, tree_size = mincut._scan_order(g)
+    return list(mincut._disconnecting_subsets(g, k, order, tree_size))
+
+
+@pytest.mark.parametrize("batch, block_bytes", [(mincut._BATCH, mincut._BLOCK_BYTES),
+                                                (7, mincut._BLOCK_BYTES),
+                                                (mincut._BATCH, 240)])
+def test_kernel_matches_plain_scan_on_small_graphs(monkeypatch, batch, block_bytes):
+    # every connected graph on 2..6 vertices, each level up to delta; the
+    # largest level is C(15, 5) = 3003 subsets (K_6).  Blocks of 7 split the
+    # run of one (k-1)-prefix, and the block that meets the spanning-tree
+    # tail ends short.  240 bytes of rows make blocks of 240 // (8 n) subsets:
+    # 15 on 2 vertices down to 5 on 6.
+    monkeypatch.setattr(mincut, "_BATCH", batch)
+    monkeypatch.setattr(mincut, "_BLOCK_BYTES", block_bytes)
+    for g in (g for n in range(2, 7) for g in connected_graphs(n)):
+        for k in range(1, g.min_degree() + 1):
+            assert _kernel_disconnecting(g, k) == list(_plain_scan(g, k)), (g, k)
+
+
+def test_subset_blocks_cover_the_tree_touching_subsets():
+    for m in range(1, 9):
+        for k in range(1, 5):
+            for tree_size in range(0, m + 1):
+                blocks = list(mincut._subset_blocks(m, k, tree_size, 7))
+                assert all(len(b) == 7 for b in blocks[:-1])
+                got = [tuple(row) for b in blocks for row in b.tolist()]
+                assert got == [c for c in combinations(range(m), k) if c[0] < tree_size]
+
+
+def test_kernel_on_multiword_rows(monkeypatch):
+    # n > 64 puts each adjacency row in W > 1 words: 2 for C_70, 3 for a
+    # 130-cycle with chords every 10 vertices (2-edge-connected, delta 2).
+    # 100000 bytes of rows make blocks of 89 and 32 subsets.
+    chorded = Graph(130, set(cycle_graph(130).edges)
+                    | {(i, i + 5) for i in range(0, 130, 10)})
+    for g, levels in ((cycle_graph(70), (1, 2)), (chorded, (1, 2))):
+        for k in levels:
+            plain = list(_plain_scan(g, k))
+            assert _kernel_disconnecting(g, k) == plain, (g.n, k)
+            with monkeypatch.context() as patch:
+                patch.setattr(mincut, "_BLOCK_BYTES", 100_000)
+                assert _kernel_disconnecting(g, k) == plain, (g.n, k)
+        assert edge_connectivity_subset(g).value == edge_connectivity(g).value == 2
+
+
+def test_subset_witness_is_the_first_hit():
+    # the oracle's witness and partition are those of the first tree-touching
+    # kappa'-subset, in lexicographic scan order, that disconnects
+    dense = [h for n in (3, 4) for h in all_graphs(n) if dense_precondition(h)]
+    for g in (g for n in (2, 3) for g in connected_graphs(n)):
+        for h in dense:
+            p = direct_product(g, h)
+            value = edge_connectivity(p).value
+            order, _ = mincut._scan_order(p)
+            witness = frozenset(order[i] for i in next(_plain_scan(p, value)))
+            labels = remove_edges(p, witness).component_labels()
+            side = frozenset(v for v in range(p.n) if labels[v] == labels[0])
+            res = edge_connectivity_subset(p)
+            assert res.value == value
+            assert res.witness == witness
+            assert res.partition == (side, frozenset(range(p.n)) - side)
 
 
 def test_enumerate_c6():
