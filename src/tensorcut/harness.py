@@ -5,6 +5,14 @@ factors and runs the selected checks on every pair.  Any disagreement with
 the brute-force oracles is recorded as a replayable counterexample
 certificate.  Only the budgeted subset oracle (``oracle = subset``) can leave
 an instance inconclusive, and it is then marked so, never failed.
+
+``theorem2`` checks an equality of cut sets: the enumerated minimum cuts of
+G x H must be exactly the ones Theorem 2 predicts, the stars of the
+minimum-degree product vertices and the lifts of G's minimum cuts, each
+where its bound attains the minimum.  Cuts are matched by set membership;
+only an extra cut on an exceptional pair (K_2, H_l) is handed to
+``classify_min_cut``, and it must come back exceptional.  The closed form's
+value must also equal the max-flow kappa'.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .dense import (
     CutClassificationError,
     CutVerdict,
     ExcludedCaseError,
+    FormulaResult,
     classify_min_cut,
     dense_precondition,
     exceptional_cut,
@@ -34,7 +43,7 @@ from .dense import (
     kappa_formula_kn,
 )
 from .graph6 import emit_graph6, load_graph6_file, parse_graph6
-from .graphs import Edge, Graph, complete_graph
+from .graphs import Edge, Graph, complete_graph, edge, remove_edges
 from .mincut import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -48,8 +57,10 @@ from .product import (
     direct_product,
     fiber,
     format_product_cut,
+    induced_cut,
     parse_product_cut,
     product_connected,
+    vertex_id,
 )
 
 CHECK_NAMES = ("theorem1", "corollary1", "theorem2", "corollary2", "weichsel", "lemma2")
@@ -230,19 +241,17 @@ def _cached_enumeration(pair: _Pair) -> tuple[frozenset[Edge], ...]:
     return pair.cuts
 
 
-def _certificate(pair: _Pair, check: str, expected, observed,
-                 cut: Optional[str] = None) -> dict:
-    cert = {
+def _certificate(pair: _Pair, check: str, expected, observed, **cuts: str) -> dict:
+    """A replayable mismatch; ``cuts`` adds product cuts in the text format."""
+    return {
         "check": check,
         "g": emit_graph6(pair.g),
         "h": emit_graph6(pair.h),
         "oracle": pair.config.oracle,
         "expected": expected,
         "observed": observed,
+        **cuts,
     }
-    if cut is not None:
-        cert["cut"] = cut
-    return cert
 
 
 def _settle(rec: dict, pair: _Pair, check: str, expected, observed) -> dict:
@@ -296,26 +305,90 @@ def _classify(pair: _Pair, cut) -> Optional[CutVerdict]:
         return None
 
 
+def _predicted_cuts(pair: _Pair, res: FormulaResult
+                    ) -> tuple[frozenset[frozenset[Edge]], frozenset[frozenset[Edge]]]:
+    """Theorem 2's minimum cuts of G x H outside (K_2, H_l), as (stars, lifts).
+
+    The stars of every (x, u) with deg x = delta(G) and deg u = delta(H) when
+    delta(G)delta(H) attains the minimum, and the lifts of G's minimum cuts
+    when 2 kappa'(G) e(H) does; both on a tie.
+    """
+    g, h = pair.g, pair.h
+    stars: frozenset[frozenset[Edge]] = frozenset()
+    lifts: frozenset[frozenset[Edge]] = frozenset()
+    if res.degree_bound == res.value:
+        product, dg, dh = pair.product, g.min_degree(), h.min_degree()
+        centers = [vertex_id(x, u, h.n)
+                   for x in range(g.n) if g.degree(x) == dg
+                   for u in range(h.n) if h.degree(u) == dh]
+        stars = frozenset(frozenset(edge(p, w) for w in product.neighbors(p))
+                          for p in centers)
+    if res.factor_cut_bound == res.value:
+        lifts = frozenset(induced_cut(s, g, h) for s in enumerate_min_cuts(g).cuts)
+    return stars, lifts
+
+
+def _unpredicted(pair: _Pair, cut: frozenset[Edge], exceptional_pair: bool
+                 ) -> Optional[str]:
+    """Why an enumerated cut outside the predicted set fails theorem2, or
+    None when it is an exceptional cut, which only (K_2, H_l) may have.
+
+    ``classify_min_cut`` raises ValueError on an edge set that is not a
+    minimum cut, so the cut is vetted first and a non-cut is certified.
+    """
+    if not exceptional_pair:
+        return "unpredicted"
+    product = pair.product
+    if (len(cut) != pair.kappa or not cut <= product.edges
+            or remove_edges(product, cut).is_connected()):
+        return "not a minimum cut"
+    verdict = _classify(pair, cut)
+    if verdict is CutVerdict.EXCEPTIONAL:
+        return None
+    return "unclassifiable" if verdict is None else f"unpredicted {verdict.value}"
+
+
 def _check_theorem2(pair: _Pair) -> dict:
     g, h = pair.g, pair.h
     rec: dict = {"kappa": pair.kappa,
                  "subsets": math.comb(len(pair.product.edges), pair.kappa)}
+    res = kappa_formula(g, h)
     cuts = _cached_enumeration(pair)
+    stars, lifts = _predicted_cuts(pair, res)
     counts = {v.value: 0 for v in CutVerdict}
     exceptional_pair = g == complete_graph(2) and is_exceptional_member(h) is not None
     rec.update(exhaustive=True, cuts=len(cuts), exceptional_pair=exceptional_pair)
     for cut in cuts:
-        verdict = _classify(pair, cut)
-        if verdict is None:
-            rec["status"] = "mismatch"
-            rec["certificate"] = _certificate(
-                pair, "theorem2", "classifiable", "unclassifiable",
-                cut=format_product_cut(cut, h.n),
-            )
-            rec["verdicts"] = counts
-            return rec
+        if cut in stars:
+            verdict = CutVerdict.VERTEX_STAR
+        elif cut in lifts:
+            verdict = CutVerdict.INDUCED_BY_FACTOR_CUT
+        else:
+            observed = _unpredicted(pair, cut, exceptional_pair)
+            if observed is not None:
+                rec["status"] = "mismatch"
+                rec["certificate"] = _certificate(
+                    pair, "theorem2", "predicted or exceptional", observed,
+                    cut=format_product_cut(cut, h.n),
+                )
+                rec["verdicts"] = counts
+                return rec
+            verdict = CutVerdict.EXCEPTIONAL
         counts[verdict.value] += 1
     rec["verdicts"] = counts
+    missing = (stars | lifts).difference(cuts)
+    if missing:
+        rec["status"] = "mismatch"
+        rec["certificate"] = _certificate(
+            pair, "theorem2", "every predicted cut", f"{len(missing)} missing",
+            missing=format_product_cut(min(missing, key=sorted), h.n),
+        )
+        return rec
+    if res.value != pair.kappa:
+        # the sets can agree when the closed form is off in step with its bound
+        rec["status"] = "mismatch"
+        rec["certificate"] = _certificate(pair, "theorem2", res.value, pair.kappa)
+        return rec
     if exceptional_pair:
         l = is_exceptional_member(h)
         if h == exceptional_member(l):
@@ -481,23 +554,25 @@ def write_csv(report: VerificationReport, stream: TextIO) -> None:
 
 def replay_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> dict:
     """Re-run the check a certificate came from, with its "oracle" (default
-    max-flow), on its own graph6 payloads; a recorded theorem2 cut is
-    classified again.
+    max-flow), on its own graph6 payloads.
 
     Returns the fresh observations plus a "reproduced" flag that is True when
-    the recorded mismatch shows up again.  Raises BudgetExceeded when the
-    re-run does not fit the budget.
+    the check fails again.  A recorded theorem2 ``cut`` is also classified
+    anew by ``classify_min_cut``, and its "verdict" is reported next to the
+    re-run.  Raises BudgetExceeded when the re-run does not fit the budget.
     """
     check = cert["check"]
     config = CampaignConfig(checks=(check,), oracle=cert.get("oracle", "maxflow"),
                             enumeration_budget=budget)
     pair = _Pair(parse_graph6(cert["g"]), parse_graph6(cert["h"]), config)
-    if check == "theorem2" and "cut" in cert:
-        verdict = _classify(pair, parse_product_cut(cert["cut"], pair.h.n))
-        return {"check": check,
-                "verdict": "unclassifiable" if verdict is None else verdict.value,
-                "reproduced": verdict is None}
     rec = _CHECK_FUNCS[check](pair)
     if rec["status"] == "inconclusive":
         raise BudgetExceeded(f"replaying {check} does not fit the budget {budget}")
-    return {"check": check, **rec, "reproduced": rec["status"] == "mismatch"}
+    out = {"check": check, **rec, "reproduced": rec["status"] == "mismatch"}
+    if check == "theorem2" and "cut" in cert:
+        try:
+            verdict = _classify(pair, parse_product_cut(cert["cut"], pair.h.n))
+            out["verdict"] = "unclassifiable" if verdict is None else verdict.value
+        except ValueError as exc:
+            out["verdict"] = str(exc)
+    return out

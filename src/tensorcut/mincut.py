@@ -24,11 +24,14 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .graphs import Edge, Graph, edge
+
+# numpy is imported inside the subset scan only, so the max-flow routes and
+# everything that never scans load without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 5_000_000
 # A block of the subset scan holds min(_BATCH, _BLOCK_BYTES // (8 n W))
@@ -255,6 +258,8 @@ def _subset_blocks(m: int, k: int, tree_size: int, rows: int) -> Iterator[np.nda
     Each (k-1)-prefix comes from ``itertools.combinations`` and its run of
     last indices from ``numpy.arange``, so no Python tuple is built per subset.
     """
+    import numpy as np
+
     if k == 1:
         for lo in range(0, tree_size, rows):
             yield np.arange(lo, min(lo + rows, tree_size))[:, None]
@@ -283,6 +288,8 @@ def _subset_blocks(m: int, k: int, tree_size: int, rows: int) -> Iterator[np.nda
 def _expand(prefixes: list[tuple[int, ...]], m: int) -> np.ndarray:
     """Every subset that extends one of the prefixes by a last index above
     its own last index and below m, in lexicographic order."""
+    import numpy as np
+
     p = np.array(prefixes, dtype=np.intp)
     start = p[:, -1] + 1
     runs = m - start
@@ -293,6 +300,8 @@ def _expand(prefixes: list[tuple[int, ...]], m: int) -> np.ndarray:
 
 def _word_bits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The word index and the bit of each vertex in a row of uint64 words."""
+    import numpy as np
+
     return v >> 6, np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
 
 
@@ -312,6 +321,8 @@ def _disconnecting_subsets(
     into them, so the blocks of a scan do not allocate and fault in fresh
     memory.
     """
+    import numpy as np
+
     if k == 0:
         return
     n = g.n

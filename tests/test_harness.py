@@ -3,13 +3,21 @@ import dataclasses
 import io
 import json
 import platform
+from collections import Counter
 
 import pytest
 
 import tensorcut
 from tensorcut import harness, mincut
 from tensorcut.catalog import is_isomorphic
-from tensorcut.dense import CutClassificationError, dense_precondition, exceptional_cut
+from tensorcut.dense import (
+    CutClassificationError,
+    CutVerdict,
+    classify_min_cut,
+    dense_precondition,
+    exceptional_cut,
+    kappa_formula,
+)
 from tensorcut.graph6 import emit_graph6
 from tensorcut.graphs import complete_graph, path_graph
 from tensorcut.harness import (
@@ -28,6 +36,7 @@ from tensorcut.harness import (
 )
 from tensorcut.mincut import BudgetExceeded
 from tensorcut.product import fibers_contained, format_product_cut, parse_product_cut
+from test_dense import bridged
 
 
 def strip_ms(records):
@@ -192,6 +201,52 @@ def test_theorem2_exceptional_pair_report():
     assert rec["verdicts"]["vertex_star"] == 6
     assert rec["canonical_cut_seen"] is True
     assert report.summary["exceptional_sightings"] == 9
+
+
+def test_theorem2_membership_agrees_with_per_cut_classification():
+    # the slow oracle: classify_min_cut rebuilds the product and kappa'(G)
+    # and recovers each cut's class anew
+    cfg = CampaignConfig(max_g_order=4, max_h_order=5, checks=("theorem2",))
+    pairs = [(g, h) for g in _g_corpus(cfg) for h in _h_corpus(cfg)]
+    # no G on fewer than 8 vertices has delta(G) >= 3 kappa'(G), which a
+    # lift needs; these two attain 2 kappa'(G) e(H) in a tie and alone
+    pairs += [(bridged(complete_graph(4)), complete_graph(3)),
+              (bridged(complete_graph(5)), complete_graph(3))]
+    totals: Counter = Counter()
+    for g, h in pairs:
+        pair = harness._Pair(g, h, cfg)
+        rec = harness._check_theorem2(pair)
+        assert rec["status"] == "ok"
+        cuts = set(harness._cached_enumeration(pair))
+        slow = Counter(classify_min_cut(g, h, c).verdict for c in cuts)
+        assert rec["verdicts"] == {v.value: slow[v] for v in CutVerdict}
+        totals += slow
+        stars, lifts = harness._predicted_cuts(pair, kappa_formula(g, h))
+        assert stars | lifts <= cuts
+        if rec["exceptional_pair"]:
+            assert (g, h) == (complete_graph(2), complete_graph(3))
+        else:
+            assert stars | lifts == cuts
+    assert totals[CutVerdict.INDUCED_BY_FACTOR_CUT] == 2
+    assert totals[CutVerdict.EXCEPTIONAL] == 9
+
+
+def test_missing_cut_certificate_replays_the_check(monkeypatch):
+    monkeypatch.setattr(harness, "enumerate_min_cuts",
+                        _drop_last_cut(harness.enumerate_min_cuts))
+    pair = harness._Pair(path_graph(3), complete_graph(4),
+                         CampaignConfig(checks=("theorem2",)))
+    rec = harness._check_theorem2(pair)
+    assert rec["status"] == "mismatch"
+    cert = rec["certificate"]
+    assert "cut" not in cert
+    # the dropped cut is a valid minimum cut, so classifying it again could
+    # not reproduce the mismatch: replay has to re-run the check
+    missing = parse_product_cut(cert["missing"], 4)
+    assert classify_min_cut(pair.g, pair.h, missing).verdict is CutVerdict.VERTEX_STAR
+    out = replay_certificate(cert)
+    assert out["reproduced"] is True
+    assert out["certificate"] == cert
 
 
 def test_weichsel_check_covers_bipartite_pairs():
@@ -377,13 +432,45 @@ def _negated(real):
     return lambda *args: not real(*args)
 
 
+def _drop_last_cut(real):
+    def dropped(g):
+        return mincut.CutEnumeration(real(g).cuts[:-1])
+    return dropped
+
+
+def _last_cut_shrunk(real):
+    # fewer than kappa' edges never disconnect, so the engine lists a non-cut
+    def shrunk(g):
+        *cuts, last = real(g).cuts
+        return mincut.CutEnumeration((*cuts, last - {min(last)}))
+    return shrunk
+
+
+def _shifted_with_bounds(real):
+    def wrong(*args):
+        res = real(*args)
+        return dataclasses.replace(res, value=res.value + 1,
+                                   degree_bound=res.degree_bound + 1,
+                                   factor_cut_bound=res.factor_cut_bound + 1)
+    return wrong
+
+
 def _limit_too_high(real):
     return lambda g, s, t, limit=None: real(g, s, t, limit + 1)
 
 
 @pytest.mark.parametrize("check, binding, mutate, mismatches, instances", [
     ("corollary1", "kappa_formula_kn", _off_by_one, 6, 6),
-    ("theorem2", "classify_min_cut", _unclassifiable, 6, 6),
+    # an engine that drops a cut leaves a predicted cut missing
+    ("theorem2", "enumerate_min_cuts", _drop_last_cut, 6, 6),
+    # an engine that lists a non-cut; on (K_2, K_3) it is vetted, not classified
+    ("theorem2", "enumerate_min_cuts", _last_cut_shrunk, 6, 6),
+    # a closed form that disagrees with kappa' is a mismatch, not an exception
+    ("theorem2", "kappa_formula", _off_by_one, 6, 6),
+    # shifted with its bounds, it predicts the right cuts but the wrong kappa'
+    ("theorem2", "kappa_formula", _shifted_with_bounds, 6, 6),
+    # only the extras of the exceptional pair (K_2, K_3) are classified
+    ("theorem2", "classify_min_cut", _unclassifiable, 1, 6),
     # the excluded pair (K_2, K_3) raises before the negation and stays ok
     ("corollary2", "is_super_edge_connected_kn", _negated, 5, 6),
     ("weichsel", "product_connected", _negated, 45, 45),

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -300,3 +304,26 @@ def test_cut_text_round_trip():
     assert format_cut(cut) == "0-1 2-5"
     with pytest.raises(ValueError):
         parse_cut("0-1 junk")
+
+
+_NUMPY_PROBE = """
+import sys
+import tensorcut, tensorcut.cli
+from tensorcut.harness import CHECK_NAMES, CampaignConfig, run_campaign
+report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4, checks=CHECK_NAMES))
+assert report.summary["mismatches"] == 0
+assert "numpy" not in sys.modules, "numpy loaded without a subset scan"
+from tensorcut.graphs import complete_graph, cycle_graph
+from tensorcut.product import direct_product
+g = direct_product(cycle_graph(4), complete_graph(3))
+assert tensorcut.edge_connectivity_subset(g).value == 4
+assert "numpy" in sys.modules
+"""
+
+
+def test_numpy_is_loaded_only_by_the_subset_scan():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
