@@ -10,7 +10,8 @@ every k-subset is tested for disconnection, except subsets that touch no
 spanning-tree edge, which provably cannot disconnect.  The test runs on
 blocks of subsets at once: each subset gets a copy of the adjacency rows as
 uint64 bitmasks with its edges' bits cleared, and reachability from vertex 0
-grows by sweeps over the vertices until it stops changing.
+grows by sweeps over the vertices.  One sweep in BFS order settles most
+connected subsets; the rest sweep until their reach stops changing.
 
 One budget caps every scan.  Over it, ``edge_connectivity_subset``,
 ``enumerate_min_cuts_subset`` and ``is_super_edge_connected`` raise
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, takewhile
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .graphs import Edge, Graph, edge
@@ -35,7 +36,8 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 5_000_000
 # A block of the subset scan holds min(_BATCH, _BLOCK_BYTES // (8 n W))
-# subsets, so its adjacency rows stay within _BLOCK_BYTES whatever the order n.
+# subsets, so its adjacency rows stay within _BLOCK_BYTES whatever the order n
+# (and the rows gathered for its second stage within as much again).
 _BATCH = 32768
 _BLOCK_BYTES = 1 << 20
 
@@ -255,8 +257,10 @@ def _subset_blocks(m: int, k: int, tree_size: int, rows: int) -> Iterator[np.nda
     lexicographic order, as index arrays of ``rows`` rows (the last one
     shorter).
 
-    Each (k-1)-prefix comes from ``itertools.combinations`` and its run of
-    last indices from ``numpy.arange``, so no Python tuple is built per subset.
+    Only the (k-2)-prefixes come from ``itertools.combinations`` (for k = 2,
+    the first indices); ``_expand``, applied twice (once), appends the other
+    indices in numpy, so no Python tuple is built per subset or per
+    (k-1)-prefix.
     """
     import numpy as np
 
@@ -264,33 +268,36 @@ def _subset_blocks(m: int, k: int, tree_size: int, rows: int) -> Iterator[np.nda
         for lo in range(0, tree_size, rows):
             yield np.arange(lo, min(lo + rows, tree_size))[:, None]
         return
+    tail = min(k - 1, 2)  # indices appended by _expand
+    prefixes = takewhile(lambda p: p[0] < tree_size,
+                         combinations(range(m - tail), k - tail))
     carry = np.empty((0, k), dtype=np.intp)
-    prefixes: list[tuple[int, ...]] = []
-    count = 0
-    for prefix in combinations(range(m - 1), k - 1):
-        if prefix[0] >= tree_size:
+    while True:
+        group, count = [], len(carry)
+        for prefix in prefixes:
+            group.append(prefix)
+            count += math.comb(m - 1 - prefix[-1], tail)
+            if count >= rows:
+                break
+        if not group:
             break
-        prefixes.append(prefix)
-        count += m - 1 - prefix[-1]
-        if count < rows:
-            continue
-        block = np.concatenate((carry, _expand(prefixes, m)))
+        block = np.array(group, dtype=np.intp)
+        for _ in range(tail):
+            block = _expand(block, m)
+        block = np.concatenate((carry, block))
         cut = len(block) - len(block) % rows
         for lo in range(0, cut, rows):
             yield block[lo:lo + rows]
-        carry, prefixes, count = block[cut:], [], len(block) - cut
-    if prefixes:
-        carry = np.concatenate((carry, _expand(prefixes, m)))
+        carry = block[cut:]
     if len(carry):
         yield carry
 
 
-def _expand(prefixes: list[tuple[int, ...]], m: int) -> np.ndarray:
-    """Every subset that extends one of the prefixes by a last index above
-    its own last index and below m, in lexicographic order."""
+def _expand(p: np.ndarray, m: int) -> np.ndarray:
+    """Every row of p extended by one last index above its own last index and
+    below m, in lexicographic order."""
     import numpy as np
 
-    p = np.array(prefixes, dtype=np.intp)
     start = p[:, -1] + 1
     runs = m - start
     first_row = np.cumsum(runs) - runs
@@ -305,6 +312,32 @@ def _word_bits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v >> 6, np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
 
 
+def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A contiguous view, in ``shape``, of the first items of ``buf``."""
+    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def _sweep_steps(adj: np.ndarray, reach: np.ndarray, vertices: Iterable[int]) -> list:
+    """Per vertex, in sweep order: its adjacency rows in ``adj``, the word of
+    ``reach`` that holds its bit, and the bit's shift within that word."""
+    import numpy as np
+
+    return [(adj[v], reach[:, v >> 6:(v >> 6) + 1], np.uint64(v & 63)) for v in vertices]
+
+
+def _sweep(steps: list, reach: np.ndarray, hit: np.ndarray, grow: np.ndarray) -> None:
+    """One in-place reachability sweep: each vertex, in the order of
+    ``steps``, that ``reach`` already holds adds its adjacency row to it."""
+    import numpy as np
+
+    one = np.uint64(1)
+    for rows_v, word, shift in steps:
+        np.right_shift(word, shift, out=hit)
+        np.bitwise_and(hit, one, out=hit)
+        np.multiply(rows_v, hit, out=grow)
+        np.bitwise_or(reach, grow, out=reach)
+
+
 def _disconnecting_subsets(
     g: Graph, k: int, order: list[Edge], tree_size: int
 ) -> Iterator[tuple[int, ...]]:
@@ -314,12 +347,16 @@ def _disconnecting_subsets(
     Each vertex's adjacency row is a bitmask of W = ceil(n/64) uint64 words.
     A block of b subsets gets its own copy of every row, laid out (n, b, W) so
     that one vertex's rows are contiguous; each subset position then clears
-    its edge's two bits.  Reachability grows from vertex 0 by in-place sweeps
-    over the vertices, alternately up and down, until a sweep adds nothing.
-    A block holds at most ``_BATCH`` subsets and ``_BLOCK_BYTES`` of rows.  Its
-    arrays are allocated once per block size and reused, and the sweeps write
-    into them, so the blocks of a scan do not allocate and fault in fresh
-    memory.
+    its edge's two bits.  Reachability grows from vertex 0 in two stages.
+    One sweep visits the vertices in the BFS order of g from vertex 0, and
+    settles as connected every subset whose reach is then full: reach never
+    holds a vertex that vertex 0 cannot reach, so that is sound.  The rows
+    and reach of the other subsets are gathered, in order, and sweep
+    alternately down and up the vertex numbers until a sweep adds nothing.
+    A block holds at most ``_BATCH`` subsets and ``_BLOCK_BYTES`` of rows.
+    Its arrays, and spares of the same size for the gathered subsets, are
+    allocated once per block size and reused, and the sweeps write into
+    them, so the blocks of a scan do not allocate and fault in fresh memory.
     """
     import numpy as np
 
@@ -338,7 +375,13 @@ def _disconnecting_subsets(
     full = np.zeros(words, dtype=np.uint64)
     np.bitwise_or.at(full, *_word_bits(np.arange(n)))
     rows = max(1, min(_BATCH, _BLOCK_BYTES // (8 * n * words)))
-    one = np.uint64(1)
+    bfs = [0]  # the first sweep's order
+    seen = {0}
+    for u in bfs:
+        for w in g.neighbors(u):
+            if w not in seen:
+                seen.add(w)
+                bfs.append(w)
 
     size = 0
     for idx in _subset_blocks(len(order), k, tree_size, rows):
@@ -347,11 +390,11 @@ def _disconnecting_subsets(
             size = b
             adj = np.empty((n, b, words), dtype=np.uint64)
             reach = np.empty((b, words), dtype=np.uint64)
-            before, grow = np.empty_like(reach), np.empty_like(reach)
+            grow = np.empty_like(reach)
             hit = np.empty((b, 1), dtype=np.uint64)
-            # per vertex: its rows, the reach word holding its bit, the shift
-            steps = [(adj[v], reach[:, v >> 6:(v >> 6) + 1], np.uint64(v & 63))
-                     for v in range(n)]
+            first = _sweep_steps(adj, reach, bfs)
+            spare_adj, spare_reach = np.empty_like(adj), np.empty_like(reach)
+            before = np.empty_like(reach)
             # flat position of the word holding v in u's row, for subset 0 of
             # the block; subset i is i * words further on
             flat = adj.reshape(-1)
@@ -367,18 +410,26 @@ def _disconnecting_subsets(
 
         reach.fill(0)
         reach[:, 0] = 1
-        sweep = steps
+        _sweep(first, reach, hit, grow)
+        pending = np.flatnonzero((reach != full).any(axis=1))
+        c = len(pending)
+        if not c:
+            continue
+        rest_adj = _leading(spare_adj, (n, c, words))
+        rest = _leading(spare_reach, (c, words))
+        # mode "clip" lets take write into `out` without a buffer; the
+        # indices are in range anyway
+        np.take(adj, pending, axis=1, out=rest_adj, mode="clip")
+        np.take(reach, pending, axis=0, out=rest, mode="clip")
+        rest_before, rest_grow = _leading(before, (c, words)), _leading(grow, (c, words))
+        steps = _sweep_steps(rest_adj, rest, range(n - 1, -1, -1))
         while True:
-            np.copyto(before, reach)
-            for rows_v, word, shift in sweep:
-                np.right_shift(word, shift, out=hit)
-                np.bitwise_and(hit, one, out=hit)
-                np.multiply(rows_v, hit, out=grow)
-                np.bitwise_or(reach, grow, out=reach)
-            if np.array_equal(reach, before):
+            np.copyto(rest_before, rest)
+            _sweep(steps, rest, hit[:c], rest_grow)
+            if np.array_equal(rest, rest_before):
                 break
-            sweep = sweep[::-1]
-        for i in np.flatnonzero((reach != full).any(axis=1)):
+            steps = steps[::-1]
+        for i in pending[(rest != full).any(axis=1)]:
             yield tuple(idx[i].tolist())
 
 

@@ -231,6 +231,22 @@ def test_theorem2_membership_agrees_with_per_cut_classification():
     assert totals[CutVerdict.EXCEPTIONAL] == 9
 
 
+def test_theorem2_campaign_reaches_the_lift_branch(tmp_path):
+    # no enumerated G below 8 vertices has a lift among its product's
+    # minimum cuts, so the campaign gets bridged blocks from a graph6 file
+    path = tmp_path / "bridged.g6"
+    path.write_text("".join(emit_graph6(bridged(complete_graph(n))) + "\n"
+                            for n in (4, 5)))
+    cfg = CampaignConfig(g_source=str(path), max_g_order=10, max_h_order=4,
+                         checks=("theorem2",))
+    report = run_campaign(cfg)
+    assert report.exit_code == 0
+    assert [r["status"] for r in report.records] == ["ok"] * 4
+    # bridged K_4 x K_4 has no lift: delta(G) delta(H) = 9 < 2 kappa'(G) e(H) = 12
+    lifts = [r["verdicts"]["induced_by_factor_cut"] for r in report.records]
+    assert sorted(lifts) == [0, 1, 1, 1]
+
+
 def test_missing_cut_certificate_replays_the_check(monkeypatch):
     monkeypatch.setattr(harness, "enumerate_min_cuts",
                         _drop_last_cut(harness.enumerate_min_cuts))

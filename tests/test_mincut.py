@@ -143,13 +143,19 @@ def test_kernel_matches_plain_scan_on_small_graphs(monkeypatch, batch, block_byt
 
 
 def test_subset_blocks_cover_the_tree_touching_subsets():
-    for m in range(1, 9):
-        for k in range(1, 5):
+    # k >= 3 appends two indices to each (k-2)-prefix, k = 2 one to each
+    # first index.  Blocks of 1 and 7 split a prefix's run across blocks;
+    # blocks of 10**6 leave one short block.
+    for m in range(1, 11):
+        for k in range(1, 7):
             for tree_size in range(0, m + 1):
-                blocks = list(mincut._subset_blocks(m, k, tree_size, 7))
-                assert all(len(b) == 7 for b in blocks[:-1])
-                got = [tuple(row) for b in blocks for row in b.tolist()]
-                assert got == [c for c in combinations(range(m), k) if c[0] < tree_size]
+                want = [c for c in combinations(range(m), k) if c[0] < tree_size]
+                for rows in (1, 7, 10**6):
+                    blocks = list(mincut._subset_blocks(m, k, tree_size, rows))
+                    assert all(len(b) == rows for b in blocks[:-1])
+                    assert all(len(b) for b in blocks)
+                    got = [tuple(row) for b in blocks for row in b.tolist()]
+                    assert got == want, (m, k, tree_size, rows)
 
 
 def test_kernel_on_multiword_rows(monkeypatch):
