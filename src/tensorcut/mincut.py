@@ -5,13 +5,22 @@ The exact routes run on unit-capacity max-flow: kappa' as the smallest
 minimum 0-t cut over the sinks t, and every minimum cut as a vertex set
 closed under the residual arcs of a max-flow (Picard and Queyranne, "On the
 structure of all minimum cuts in a network", 1980).  The brute-force scan of
-edge subsets is the independent oracle for both, so it stays assumption-free:
-every k-subset is tested for disconnection, except subsets that touch no
-spanning-tree edge, which provably cannot disconnect.  The test runs on
-blocks of subsets at once: each subset gets a copy of the adjacency rows as
-uint64 bitmasks with its edges' bits cleared, and reachability from vertex 0
-grows by sweeps over the vertices.  One sweep in BFS order settles most
-connected subsets; the rest sweep until their reach stops changing.
+edge subsets is the independent oracle for both.  Its answers rest on two
+bounds from disjoint code.  The scan gives the upper bound: every k-subset
+is tested for disconnection, except subsets that touch no spanning-tree
+edge, which provably cannot disconnect.  A checked packing gives the lower
+bound: edge-disjoint walks from vertex 0 to each other vertex, read off
+max-flows and verified against the graph alone (``_is_packing``), prove by
+Menger's theorem that no smaller subset disconnects, so those levels are
+not scanned.  A faulty max-flow fails the check and costs only time (the
+"certifying algorithms" pattern of McConnell, Mehlhorn, Naeher and
+Schweitzer, 2011).
+
+The disconnection test runs on blocks of subsets at once: each subset gets a
+copy of the adjacency rows as uint64 bitmasks with its edges' bits cleared,
+and reachability from vertex 0 grows by sweeps over the vertices.  One sweep
+in BFS order settles most connected subsets; the rest sweep until their
+reach stops changing.
 
 One budget caps every scan.  Over it, ``edge_connectivity_subset``,
 ``enumerate_min_cuts_subset`` and ``is_super_edge_connected`` raise
@@ -147,6 +156,65 @@ def edge_connectivity(g: Graph) -> MinCutResult:
     for t in range(2, g.n):
         best = min_st_cut(g, 0, t, limit=best.value) or best
     return best
+
+
+# ---------------------------------------------------------------------------
+# Certified lower bounds: edge-disjoint walks read off a max-flow, checked.
+
+def _flow_walks(cap: list[dict[int, int]], s: int, t: int, count: int) -> list[list[int]]:
+    """``count`` s-t walks along the arcs that carry flow, those of residual
+    capacity ``cap[u][w] == 0``, each arc taken at most once.
+
+    A walk that reaches a vertex with no flow arc left ends there, short of
+    t; the checker, not this reader, decides what the walks prove.
+    """
+    out = [[w for w, c in arcs.items() if c == 0] for arcs in cap]
+    walks = []
+    for _ in range(count):
+        walk = [s]
+        while walk[-1] != t and out[walk[-1]]:
+            walk.append(out[walk[-1]].pop())
+        walks.append(walk)
+    return walks
+
+
+def _is_packing(g: Graph, s: int, t: int, walks: Iterable[list[int]]) -> bool:
+    """Whether ``walks`` are edge-disjoint s-t walks in g.
+
+    Each walk must start at s, end at t and step only along edges of g, and
+    no edge may appear twice across the walks.  By Menger's theorem, k such
+    walks prove that every s-t edge cut has at least k edges.
+    """
+    used: set[Edge] = set()
+    for walk in walks:
+        if not walk or walk[0] != s or walk[-1] != t:
+            return False
+        for u, w in zip(walk, walk[1:]):
+            if u == w:
+                return False
+            e = edge(u, w)
+            if e not in g.edges or e in used:
+                return False
+            used.add(e)
+    return True
+
+
+def _certified_lower_bound(g: Graph, want: int) -> int:
+    """A checked lower bound on kappa' of a connected g, at most ``want``.
+
+    For each sink t, a max-flow from vertex 0 capped at the bound so far
+    yields edge-disjoint 0-t walks, which ``_is_packing`` checks against g
+    alone.  Every edge cut separates vertex 0 from some t, so the least
+    packing size bounds kappa' from below.  A rejected packing gives 0.
+    """
+    bound = want
+    for t in range(1, g.n):
+        flow, _, cap = _unit_max_flow(g, (0,), t, limit=bound)
+        walks = _flow_walks(cap, 0, t, flow)
+        if not _is_packing(g, 0, t, walks):
+            return 0
+        bound = min(bound, len(walks))
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -436,18 +504,27 @@ def _disconnecting_subsets(
 def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutResult:
     """kappa' by brute force: scan subsets of increasing size up to min degree.
 
-    Independent of the max-flow route.  Raises BudgetExceeded before starting
-    any level that would push the total subset count past the budget.
+    The value and witness come from the scan alone: the first disconnecting
+    subset, in lexicographic scan order, of the least size that has one.
+    Raises BudgetExceeded before starting any level that would push the
+    running count of subsets, over all levels from 1, past the budget.
+    Levels below a checked lower bound (``_certified_lower_bound``) cannot
+    hit and are counted but not scanned, so a faulty max-flow can cost time
+    but cannot change an answer or a budget decision.
     """
     trivial = _disconnected_cut(g)
     if trivial is not None:
         return trivial
     order, tree_size = _scan_order(g)
     m = len(order)
-    spent = 1
-    for k in range(1, g.min_degree() + 1):
+    spent, stop = 1, g.min_degree()
+    for k in range(1, stop + 1):
         spent += math.comb(m, k)
         if spent > budget:
+            stop = k
+            break
+    for k in range(max(1, _certified_lower_bound(g, stop)), stop + 1):
+        if k == stop and spent > budget:
             raise BudgetExceeded(
                 f"subset search would test {spent} subsets (budget {budget})"
             )
@@ -460,11 +537,19 @@ def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnum
     """All minimum edge cuts, by scanning the C(|E|, kappa') edge subsets.
 
     The oracle for ``enumerate_min_cuts``.  Raises BudgetExceeded, before
-    scanning, when that count exceeds the budget.
+    scanning, when that count exceeds the budget.  kappa' comes from
+    max-flow, but the list does not trust it: a checked packing must prove
+    kappa' >= value and the scan must find a cut of that size, or the call
+    raises RuntimeError naming the disagreement.
     """
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
     value = edge_connectivity(g).value
+    bound = _certified_lower_bound(g, value)
+    if bound < value:
+        raise RuntimeError(
+            f"max-flow kappa' {value} exceeds the checked lower bound {bound}"
+        )
     subsets = math.comb(len(g.edges), value)
     if subsets > budget:
         raise BudgetExceeded(
@@ -475,6 +560,10 @@ def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnum
         frozenset(order[i] for i in combo)
         for combo in _disconnecting_subsets(g, value, order, tree_size)
     }
+    if not cuts:
+        raise RuntimeError(
+            f"max-flow kappa' {value} disagrees with the subset scan: no {value} edges disconnect"
+        )
     return CutEnumeration(tuple(sorted(cuts, key=sorted)))
 
 

@@ -18,7 +18,7 @@ from tensorcut.dense import (
     exceptional_cut,
     kappa_formula,
 )
-from tensorcut.graph6 import emit_graph6
+from tensorcut.graph6 import emit_graph6, parse_graph6
 from tensorcut.graphs import complete_graph, path_graph
 from tensorcut.harness import (
     CHECK_NAMES,
@@ -34,9 +34,15 @@ from tensorcut.harness import (
     write_csv,
     write_jsonl,
 )
-from tensorcut.mincut import BudgetExceeded
-from tensorcut.product import fibers_contained, format_product_cut, parse_product_cut
+from tensorcut.mincut import BudgetExceeded, edge_connectivity
+from tensorcut.product import (
+    direct_product,
+    fibers_contained,
+    format_product_cut,
+    parse_product_cut,
+)
 from test_dense import bridged
+from test_mincut import budget_stop
 
 
 def strip_ms(records):
@@ -429,6 +435,25 @@ def test_campaign_with_subset_oracle():
     report = run_campaign(cfg)
     assert report.exit_code == 2
     assert report.records[0]["oracle"] is None
+
+
+def test_subset_oracle_campaign_follows_the_budget_rule():
+    # theorem1 by subset scan at budget 500k on G 2..3 x dense H 3..5: every
+    # settled oracle value is the max-flow kappa', and the inconclusive pairs
+    # are exactly those whose budget level is at most kappa'
+    cfg = CampaignConfig(max_g_order=3, max_h_order=5, checks=("theorem1",),
+                         oracle="subset", enumeration_budget=500_000)
+    report = run_campaign(cfg)
+    assert len(report.records) == 15
+    for rec in report.records:
+        p = direct_product(parse_graph6(rec["g"]), parse_graph6(rec["h"]))
+        value = edge_connectivity(p).value
+        stop, _ = budget_stop(p, cfg.enumeration_budget)
+        if stop is not None and stop <= value:
+            assert rec["status"] == "inconclusive" and rec["oracle"] is None, rec
+        else:
+            assert rec["oracle"] == value, rec
+    assert report.summary["inconclusive"] == 4
 
 
 def _off_by_one(real):

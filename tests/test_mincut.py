@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -29,6 +30,7 @@ from tensorcut.mincut import (
     parse_cut,
 )
 from tensorcut.product import direct_product
+from test_dense import bridged
 
 C6 = cycle_graph(6)
 K4 = complete_graph(4)
@@ -107,9 +109,19 @@ def test_maxflow_agrees_with_networkx(g):
     assert edge_connectivity(g).value == nx.edge_connectivity(nxg)
 
 
-def test_subset_search_budget():
-    with pytest.raises(BudgetExceeded):
-        edge_connectivity_subset(complete_graph(7), budget=10)
+BUDGETS = (10, 100, 10**3, 10**4, 10**5, 5 * 10**6)
+
+
+def budget_stop(g, budget):
+    """The plain budget rule of the subset oracle: the first level whose
+    running subset count, from level 1 on, passes the budget, with that
+    count; None and the total when no level up to delta does."""
+    m, spent = len(g.edges), 1
+    for k in range(1, g.min_degree() + 1):
+        spent += math.comb(m, k)
+        if spent > budget:
+            return k, spent
+    return None, spent
 
 
 def _plain_scan(g, k):
@@ -119,6 +131,42 @@ def _plain_scan(g, k):
     return (c for c in combinations(range(len(order)), k)
             if c[0] < tree_size
             and not remove_edges(g, [order[i] for i in c]).is_connected())
+
+
+def _first_hit(g, value):
+    """The plain scan's first disconnecting kappa'-subset and its partition."""
+    order, _ = mincut._scan_order(g)
+    witness = frozenset(order[i] for i in next(_plain_scan(g, value)))
+    labels = remove_edges(g, witness).component_labels()
+    side = frozenset(v for v in range(g.n) if labels[v] == labels[0])
+    return witness, (side, frozenset(range(g.n)) - side)
+
+
+def _check_budget_decision(g, budget, value, hit):
+    """edge_connectivity_subset raises exactly when the plain rule's level is
+    at most kappa', with the usual message, and otherwise answers with the
+    plain scan's first hit."""
+    stop, spent = budget_stop(g, budget)
+    if stop is not None and stop <= value:
+        with pytest.raises(BudgetExceeded) as exc:
+            edge_connectivity_subset(g, budget)
+        assert str(exc.value) == f"subset search would test {spent} subsets (budget {budget})"
+    else:
+        res = edge_connectivity_subset(g, budget)
+        assert (res.value, res.witness, res.partition) == (value, *hit), (g, budget)
+
+
+def test_subset_search_budget():
+    with pytest.raises(BudgetExceeded, match="test 22 subsets \\(budget 10\\)"):
+        edge_connectivity_subset(complete_graph(7), budget=10)
+    # the bridged K_4 has kappa' 1 below delta 3: budgets that level 1 fits
+    # answer with the bridge, even where level 2 or 3 would not fit
+    for g in (complete_graph(7), C6, bridged(K4), bridged(complete_graph(5))):
+        value = edge_connectivity(g).value
+        hit = _first_hit(g, value)
+        for budget in BUDGETS:
+            _check_budget_decision(g, budget, value, hit)
+    assert edge_connectivity_subset(bridged(K4), budget=20).witness == {(0, 4)}
 
 
 def _kernel_disconnecting(g, k):
@@ -174,22 +222,108 @@ def test_kernel_on_multiword_rows(monkeypatch):
         assert edge_connectivity_subset(g).value == edge_connectivity(g).value == 2
 
 
-def test_subset_witness_is_the_first_hit():
-    # the oracle's witness and partition are those of the first tree-touching
-    # kappa'-subset, in lexicographic scan order, that disconnects
+def _small_products():
+    """G on 2..3 x dense H on 3..4, each with kappa' and the plain scan's
+    first hit."""
     dense = [h for n in (3, 4) for h in all_graphs(n) if dense_precondition(h)]
     for g in (g for n in (2, 3) for g in connected_graphs(n)):
         for h in dense:
             p = direct_product(g, h)
             value = edge_connectivity(p).value
-            order, _ = mincut._scan_order(p)
-            witness = frozenset(order[i] for i in next(_plain_scan(p, value)))
-            labels = remove_edges(p, witness).component_labels()
-            side = frozenset(v for v in range(p.n) if labels[v] == labels[0])
-            res = edge_connectivity_subset(p)
-            assert res.value == value
-            assert res.witness == witness
-            assert res.partition == (side, frozenset(range(p.n)) - side)
+            yield p, value, _first_hit(p, value)
+
+
+def test_subset_witness_is_the_first_hit():
+    # the oracle's witness and partition are those of the first tree-touching
+    # kappa'-subset, in lexicographic scan order, that disconnects, at every
+    # budget that the plain rule lets it answer under
+    for p, value, hit in _small_products():
+        for budget in BUDGETS:
+            _check_budget_decision(p, budget, value, hit)
+
+
+def test_packing_checker_rejects_bad_walks():
+    # C_6 holds two edge-disjoint 0-3 walks, one each way round
+    assert mincut._is_packing(C6, 0, 3, [[0, 1, 2, 3], [0, 5, 4, 3]])
+    assert mincut._is_packing(C6, 0, 3, [])
+    for walks in ([[0, 1, 2, 3], [0, 1, 2, 3]],     # every edge reused
+                  [[0, 1, 2, 3], [0, 5, 4, 3, 2, 3]],  # 2-3 reused, reversed
+                  [[0, 1, 0, 5, 4, 3]],             # 0-1 reused within a walk
+                  [[0, 2, 3]],                      # 0-2 is no edge of C_6
+                  [[0, 5, 3]],                      # nor 3-5
+                  [[1, 2, 3]],                      # starts at 1
+                  [[0, 1, 2]],                      # ends at 2
+                  [[0]],                            # a walk that ended short
+                  [[]],
+                  [[0, 0, 1, 2, 3]],                # self-steps
+                  [[0, 1, 2, 3, 3]]):
+        assert not mincut._is_packing(C6, 0, 3, walks), walks
+
+
+def _overstated(real):
+    def flow(g, sources, t, limit=None):
+        value, reach, cap = real(g, sources, t, limit)
+        return value + 1, reach, cap
+    return flow
+
+
+def _every_arc_full(real):
+    # both arcs of every edge read as carrying flow
+    def flow(g, sources, t, limit=None):
+        value, reach, cap = real(g, sources, t, limit)
+        return value, reach, [dict.fromkeys(arcs, 0) for arcs in cap]
+    return flow
+
+
+def _shortcut(real):
+    # a flow arc from the first source straight to t, an edge or not
+    def flow(g, sources, t, limit=None):
+        sources = tuple(sources)
+        value, reach, cap = real(g, sources, t, limit)
+        cap[sources[0]].pop(t, None)
+        cap[sources[0]][t] = 0
+        return value, reach, cap
+    return flow
+
+
+@pytest.mark.parametrize("mutant", [_overstated, _every_arc_full, _shortcut])
+def test_subset_oracle_survives_a_faulty_max_flow(monkeypatch, mutant):
+    # the checker turns a faulty flow's packings down, so the scan starts
+    # lower; value, witness and budget decisions stay those of the plain scan
+    cases = list(_small_products())
+    rejected = []
+    real_check = mincut._is_packing
+
+    def counting_check(*args):
+        ok = real_check(*args)
+        rejected.append(not ok)
+        return ok
+
+    monkeypatch.setattr(mincut, "_unit_max_flow", mutant(mincut._unit_max_flow))
+    monkeypatch.setattr(mincut, "_is_packing", counting_check)
+    for p, value, hit in cases:
+        for budget in BUDGETS:
+            _check_budget_decision(p, budget, value, hit)
+    assert any(rejected)
+
+
+@pytest.mark.parametrize("shift, match", [(-1, "disagrees with the subset scan"),
+                                          (1, "exceeds the checked lower bound")])
+def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, match):
+    # a kappa' one off either way gives no cut list, never a wrong one; an
+    # empty list would make is_super_edge_connected vacuously true
+    real = mincut.edge_connectivity
+
+    def shifted(g):
+        res = real(g)
+        return dataclasses.replace(res, value=res.value + shift)
+
+    monkeypatch.setattr(mincut, "edge_connectivity", shifted)
+    for g in (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3))):
+        with pytest.raises(RuntimeError, match=match):
+            enumerate_min_cuts_subset(g)
+        with pytest.raises(RuntimeError, match=match):
+            is_super_edge_connected(g)
 
 
 def test_enumerate_c6():
