@@ -26,6 +26,7 @@ from .harness import (
     CHECK_NAMES,
     CampaignConfig,
     load_config,
+    parse_checks,
     run_campaign,
     write_csv,
     write_jsonl,
@@ -75,7 +76,14 @@ def _cmd_product(args, reader: _GraphReader) -> int:
     return 0
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+
 def _cmd_kappa(args, reader: _GraphReader) -> int:
+    _check_budget(args.budget)
+
     def oracle_value(graph: Graph) -> dict:
         if args.oracle == "subset":
             res = edge_connectivity_subset(graph, args.budget)
@@ -124,6 +132,7 @@ def _cmd_classify(args, reader: _GraphReader) -> int:
 
 
 def _cmd_super(args, reader: _GraphReader) -> int:
+    _check_budget(args.budget)
     g = reader.read(args.g)
     payload: dict = {"n": args.n}
     try:
@@ -155,7 +164,7 @@ def _cmd_verify(args, reader: _GraphReader) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.checks is not None:
-        overrides["checks"] = tuple(c.strip() for c in args.checks.split(","))
+        overrides["checks"] = parse_checks(args.checks)
     if args.oracle is not None:
         overrides["oracle"] = args.oracle
     if overrides:

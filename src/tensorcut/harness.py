@@ -107,6 +107,11 @@ _INT_KEYS = {"max_g_order", "max_h_order", "enumeration_budget", "seed"}
 _STR_KEYS = {"g_source", "h_source", "oracle"}
 
 
+def parse_checks(text: str) -> tuple[str, ...]:
+    """A comma list of check names, blanks and empty items dropped."""
+    return tuple(c.strip() for c in text.split(",") if c.strip())
+
+
 def parse_config(text: str) -> CampaignConfig:
     """Flat key=value config text; '#' lines are comments."""
     values: dict[str, object] = {}
@@ -128,7 +133,7 @@ def parse_config(text: str) -> CampaignConfig:
         elif key in _STR_KEYS:
             values[key] = val
         elif key == "checks":
-            values[key] = tuple(c.strip() for c in val.split(",") if c.strip())
+            values[key] = parse_checks(val)
         else:
             raise ValueError(f"unknown config key {key!r}")
     return CampaignConfig(**values)

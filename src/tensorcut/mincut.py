@@ -8,12 +8,16 @@ structure of all minimum cuts in a network", 1980).  The brute-force scan of
 edge subsets is the independent oracle for both.  Its answers rest on two
 bounds from disjoint code.  The scan gives the upper bound: every k-subset
 is tested for disconnection, except subsets that touch no spanning-tree
-edge, which provably cannot disconnect.  A checked packing gives the lower
-bound: edge-disjoint walks from vertex 0 to each other vertex, read off
-max-flows and verified against the graph alone (``_is_packing``), prove by
-Menger's theorem that no smaller subset disconnects, so those levels are
-not scanned.  A faulty max-flow fails the check and costs only time (the
-"certifying algorithms" pattern of McConnell, Mehlhorn, Naeher and
+edge, which provably cannot disconnect.  A checked certificate gives the
+lower bound: a dominating set D of the graph, and edge-disjoint walks from
+its first vertex d0 to each other vertex of D, read off max-flows.  Both
+are verified against the graph alone (``_dominates``, ``_is_packing``).  By
+Menger's theorem and Matula's lemma (every cut with fewer than delta edges
+separates d0 from some other vertex of D; "Determining edge connectivity
+in O(nm)", 1987) they prove that no smaller subset disconnects, so those
+levels are not scanned, at the cost of |D| - 1 flows rather than n - 1.
+A faulty max-flow or dominating set fails the check and costs only time
+(the "certifying algorithms" pattern of McConnell, Mehlhorn, Naeher and
 Schweitzer, 2011).
 
 The disconnection test runs on blocks of subsets at once: each subset gets a
@@ -159,7 +163,8 @@ def edge_connectivity(g: Graph) -> MinCutResult:
 
 
 # ---------------------------------------------------------------------------
-# Certified lower bounds: edge-disjoint walks read off a max-flow, checked.
+# Certified lower bounds: a dominating set and edge-disjoint walks read off
+# max-flows, checked.
 
 def _flow_walks(cap: list[dict[int, int]], s: int, t: int, count: int) -> list[list[int]]:
     """``count`` s-t walks along the arcs that carry flow, those of residual
@@ -199,19 +204,48 @@ def _is_packing(g: Graph, s: int, t: int, walks: Iterable[list[int]]) -> bool:
     return True
 
 
-def _certified_lower_bound(g: Graph, want: int) -> int:
-    """A checked lower bound on kappa' of a connected g, at most ``want``.
+def _dominating_set(g: Graph) -> list[int]:
+    """A dominating set of g, built greedily: vertex 0 first, then, while
+    some vertex is neither in the set nor next to it, the vertex that covers
+    the most such vertices, ties going to the lowest id."""
+    closed = [mask | 1 << v for v, mask in enumerate(g.adjacency_masks)]
+    dom, left = [0], ((1 << g.n) - 1) & ~closed[0]
+    while left:
+        v = max(range(g.n), key=lambda v: (closed[v] & left).bit_count())
+        dom.append(v)
+        left &= ~closed[v]
+    return dom
 
-    For each sink t, a max-flow from vertex 0 capped at the bound so far
-    yields edge-disjoint 0-t walks, which ``_is_packing`` checks against g
-    alone.  Every edge cut separates vertex 0 from some t, so the least
-    packing size bounds kappa' from below.  A rejected packing gives 0.
+
+def _dominates(g: Graph, dom: list[int]) -> bool:
+    """Whether ``dom`` is a set of vertices of g that every vertex of g is in
+    or next to."""
+    inside = set(dom)
+    return inside <= set(range(g.n)) and all(
+        v in inside or any(w in inside for w in g.neighbors(v)) for v in range(g.n))
+
+
+def _certified_lower_bound(g: Graph, want: int) -> int:
+    """A checked lower bound on kappa' of g, at most ``want``.
+
+    Matula's lemma ("Determining edge connectivity in O(nm)", 1987): let D
+    dominate g and d0 be in D.  A cut with fewer than delta(g) edges leaves
+    more than delta(g) vertices on each side, so each side has a vertex with
+    no cut edge, and D holds it or a neighbour of it on its side.  Some d in
+    D then lies across the cut from d0, so kappa' >= min(delta(g),
+    lambda(d0, d) over d in D - {d0}).  ``_dominates`` checks D against g,
+    and for each d a max-flow from d0 capped at the bound so far yields
+    edge-disjoint d0-d walks, which ``_is_packing`` checks against g alone.
+    A rejected set or packing gives 0.
     """
-    bound = want
-    for t in range(1, g.n):
-        flow, _, cap = _unit_max_flow(g, (0,), t, limit=bound)
-        walks = _flow_walks(cap, 0, t, flow)
-        if not _is_packing(g, 0, t, walks):
+    dom = _dominating_set(g)
+    if not _dominates(g, dom):
+        return 0
+    s, bound = dom[0], min(want, g.min_degree())
+    for t in dom[1:]:
+        flow, _, cap = _unit_max_flow(g, (s,), t, limit=bound)
+        walks = _flow_walks(cap, s, t, flow)
+        if not _is_packing(g, s, t, walks):
             return 0
         bound = min(bound, len(walks))
     return bound
@@ -538,7 +572,7 @@ def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnum
 
     The oracle for ``enumerate_min_cuts``.  Raises BudgetExceeded, before
     scanning, when that count exceeds the budget.  kappa' comes from
-    max-flow, but the list does not trust it: a checked packing must prove
+    max-flow, but the list does not trust it: a checked certificate must prove
     kappa' >= value and the scan must find a cut of that size, or the call
     raises RuntimeError naming the disagreement.
     """

@@ -163,3 +163,39 @@ def test_cli_reports_bad_input(tmp_path, capsys):
     code = main(["kappa", "--graph", str(bad)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_negative_budget_is_bad_input(g6_files, capsys):
+    # as in verify, a budget below 0 is an error, not an over-budget scan
+    k2 = g6_files("k2.g6", complete_graph(2))
+    c4 = g6_files("c4.g6", cycle_graph(4))
+    for argv in (["kappa", "--graph", k2, "--oracle", "subset", "--budget", "-1"],
+                 ["kappa", "--factors", k2, k2, "--budget", "-1"],
+                 ["super", c4, "3", "--brute", "--budget", "-5"],
+                 ["super", c4, "3", "--budget", "-5"]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: budget must be >= 0"), argv
+    assert main(["verify", "--budget", "-1"]) == 2
+    assert "error: enumeration_budget must be >= 0" in capsys.readouterr().err
+    # budget 0 is a valid, if tight, budget: the subset oracle is inconclusive
+    assert main(["kappa", "--graph", k2, "--oracle", "subset", "--budget", "0"]) == 2
+    assert capsys.readouterr().err.startswith("inconclusive: ")
+
+
+def test_verify_checks_list_drops_empty_items(capsys):
+    # --checks splits like the config file's checks line
+    code = main(["verify", "--checks", "theorem1,"])
+    out = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert json.loads(out[-1])["checks"] == ["theorem1"]
+    code = main(["verify", "--checks", " weichsel , ,theorem1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["checks"] == [
+        "theorem1", "weichsel"]
+    for checks in (",", " , ", ""):
+        assert main(["verify", "--checks", checks]) == 2
+        assert capsys.readouterr().err == "error: at least one check must be selected\n"
+    assert main(["verify", "--checks", "theorem1,nosuch"]) == 2
+    assert "error: unknown checks: ['nosuch']" in capsys.readouterr().err

@@ -16,7 +16,14 @@ from strategies import graphs as graphs_st
 from tensorcut import mincut
 from tensorcut.catalog import all_graphs, connected_graphs
 from tensorcut.dense import dense_precondition
-from tensorcut.graphs import Graph, complete_graph, cycle_graph, path_graph, remove_edges
+from tensorcut.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+    remove_edges,
+)
 from tensorcut.mincut import (
     BudgetExceeded,
     edge_connectivity,
@@ -324,6 +331,87 @@ def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, match):
             enumerate_min_cuts_subset(g)
         with pytest.raises(RuntimeError, match=match):
             is_super_edge_connected(g)
+
+
+def _matched_cliques(m, k):
+    """Two copies of K_m joined by the k-matching i -- m + i, i < k."""
+    two = disjoint_union(complete_graph(m), complete_graph(m))
+    return Graph(two.n, set(two.edges) | {(i, m + i) for i in range(k)})
+
+
+def _desk_products():
+    """Every connected G on 2..5 vertices x every dense H on 3..5."""
+    dense = [h for n in (3, 4, 5) for h in all_graphs(n) if dense_precondition(h)]
+    return [direct_product(g, h)
+            for g in (g for n in range(2, 6) for g in connected_graphs(n)) for h in dense]
+
+
+def test_certified_lower_bound_is_exact_with_one_flow_per_extra_dominator(monkeypatch):
+    # Matula's lemma: kappa' = min(delta, lambda(d0, d) over the rest of a
+    # dominating set D), so the certificate needs |D| - 1 flows, none on K_n.
+    # Two cliques joined by a k-matching have kappa' = k < delta, so there
+    # the cross-cut flows decide the bound.
+    flows = []
+    real = mincut._unit_max_flow
+
+    def counting(*args, **kwargs):
+        flows.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mincut, "_unit_max_flow", counting)
+    small = [g for n in range(2, 7) for g in connected_graphs(n)]
+    matched = [_matched_cliques(4, 1), _matched_cliques(5, 2)]
+    desk = _desk_products()
+    assert (len(small), len(desk)) == (142, 150)
+    sizes = []
+    for g in small + matched + desk:
+        dom = mincut._dominating_set(g)
+        assert mincut._dominates(g, dom) and dom[0] == 0
+        flows.clear()
+        bound = mincut._certified_lower_bound(g, g.min_degree())
+        assert flows == dom[1:], g
+        assert bound == edge_connectivity(g).value, g
+        sizes.append(len(dom))
+    assert [edge_connectivity(g).value for g in matched] == [1, 2]
+    assert max(sizes[-len(desk):]) == 6
+    for n in range(2, 8):
+        flows.clear()
+        assert mincut._certified_lower_bound(complete_graph(n), n) == n - 1
+        assert flows == []
+
+
+def test_domination_checker_rejects_bad_sets():
+    # C_6: {0, 3} dominates, {0, 2} leaves vertex 4 undominated; empty sets
+    # and vertices outside the graph are turned down too
+    assert mincut._dominates(C6, [0, 3])
+    assert mincut._dominates(C6, [0, 3, 3])
+    for dom in ([], [0], [0, 2], [0, 3, 6], [-1, 0, 3]):
+        assert not mincut._dominates(C6, dom), dom
+
+
+def test_subset_oracle_survives_a_non_dominating_set(monkeypatch):
+    # vertex 0 of a direct product is never universal, so {0} alone does not
+    # dominate: the checker turns it down, the bound falls to 0 and the scan
+    # starts at level 1; every oracle answer stays that of the plain scan, and
+    # the cut list is refused rather than trusted
+    cases = list(_small_products())
+    verdicts = []
+    real_check = mincut._dominates
+
+    def recording_check(*args):
+        verdicts.append(real_check(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(mincut, "_dominating_set", lambda g: [0])
+    monkeypatch.setattr(mincut, "_dominates", recording_check)
+    for p, _, _ in cases:
+        assert mincut._certified_lower_bound(p, p.min_degree()) == 0
+    assert verdicts and not any(verdicts)
+    for p, value, hit in cases:
+        for budget in BUDGETS:
+            _check_budget_decision(p, budget, value, hit)
+    with pytest.raises(RuntimeError, match="exceeds the checked lower bound"):
+        enumerate_min_cuts_subset(direct_product(cycle_graph(4), complete_graph(3)))
 
 
 def test_enumerate_c6():
