@@ -2,14 +2,21 @@
 
 The canonical key is the lexicographically smallest upper-triangle adjacency
 bitstring over all vertex orderings, found by a column-by-column backtracking
-search.  Intended for desk-scale orders only; corpora beyond n = 7 must be
-supplied externally as graph6 files.
+search that tries one vertex per twin class at each level.  Intended for desk
+scale (n <= 10).
+
+``all_graphs`` reads a stored table (``_catalog_table``) of every graph on
+1..7 vertices up to isomorphism.  The tests check that table against the
+generator it came from (``tests/catalog_reference.py``); corpora beyond
+n = 7 must be supplied externally as graph6 files.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from ._catalog_table import ROWS
+from .graph6 import parse_graph6
 from .graphs import Graph
 
 MAX_ISO_ORDER = 10
@@ -17,11 +24,23 @@ MAX_ENUM_ORDER = 7
 
 
 def canonical_key(g: Graph) -> int:
-    """Minimum adjacency bitstring (column order) over all vertex orderings."""
+    """Minimum adjacency bitstring (column order) over all vertex orderings.
+
+    Twins u, v (N(u) minus v equals N(v) minus u) can be swapped by an
+    automorphism that fixes every other vertex, so placing either at a
+    position leads to the same bitstrings; each level tries only the first
+    unplaced vertex of each twin class.  K_n and the empty graph then take
+    n steps instead of n! orderings.
+    """
     n = g.n
     if n <= 1:
         return 0
     masks = g.adjacency_masks
+    twins = [
+        sum(1 << u for u in range(n)
+            if u != v and masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
+        for v in range(n)
+    ]
     total = n * (n - 1) // 2
     best: int | None = None
     placed: list[int] = []
@@ -44,11 +63,15 @@ def canonical_key(g: Graph) -> int:
             cols.append((col, v))
         cols.sort()
         nlen = blen + k
+        tried = 0
         for col, v in cols:
+            if twins[v] & tried:
+                continue
             nb = (bits << k) | col
             # Candidates are ascending, so the first too-large prefix ends the level.
             if best is not None and nb > (best >> (total - nlen)):
                 break
+            tried |= 1 << v
             placed.append(v)
             extend(used | (1 << v), nb, nlen)
             placed.pop()
@@ -82,24 +105,13 @@ def require_enumerable(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
-    """All non-isomorphic graphs on exactly n vertices, deterministically ordered."""
+    """All non-isomorphic graphs on exactly n vertices, deterministically ordered.
+
+    One representative per class, sorted by (edge count, canonical_key),
+    parsed from the stored table.
+    """
     require_enumerable(n)
-    if n == 1:
-        return (Graph(1),)
-    found: dict[int, Graph] = {}
-    v = n - 1
-    for parent in all_graphs(n - 1):
-        for mask in range(1 << v):
-            extra = {(i, v) for i in range(v) if mask >> i & 1}
-            cand = Graph(n, set(parent.edges) | extra)
-            key = canonical_key(cand)
-            if key not in found:
-                found[key] = cand
-    return tuple(
-        g for _, _, g in sorted(
-            (len(g.edges), key, g) for key, g in found.items()
-        )
-    )
+    return tuple(parse_graph6(text) for text in ROWS[n - 1].split())
 
 
 @lru_cache(maxsize=None)
