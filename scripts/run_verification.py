@@ -13,7 +13,14 @@ import argparse
 import sys
 import time
 
-from tensorcut.harness import CHECK_NAMES, CampaignConfig, run_campaign, write_csv, write_jsonl
+from tensorcut.harness import (
+    CHECK_NAMES,
+    CampaignConfig,
+    parse_checks,
+    run_campaign,
+    write_csv,
+    write_jsonl,
+)
 
 
 def main() -> int:
@@ -29,7 +36,7 @@ def main() -> int:
         config = CampaignConfig(
             max_g_order=args.max_g_order,
             max_h_order=args.max_h_order,
-            checks=tuple(c.strip() for c in args.checks.split(",")),
+            checks=parse_checks(args.checks),
         )
         t0 = time.perf_counter()
         report = run_campaign(config)

@@ -59,7 +59,6 @@ from .mincut import (
     is_super_edge_connected,
     is_vertex_star,
     min_st_cut,
-    parse_cut,
 )
 from .product import (
     ProductVertex,

@@ -20,11 +20,11 @@ A faulty max-flow or dominating set fails the check and costs only time
 (the "certifying algorithms" pattern of McConnell, Mehlhorn, Naeher and
 Schweitzer, 2011).
 
-The disconnection test runs on blocks of subsets at once: each subset gets a
-copy of the adjacency rows as uint64 bitmasks with its edges' bits cleared,
-and reachability from vertex 0 grows by sweeps over the vertices.  One sweep
-in BFS order settles most connected subsets; the rest sweep until their
-reach stops changing.
+The disconnection test runs on blocks of subsets at once, one subset per
+bit lane of Python ints: each edge has the mask of the lanes that keep it,
+each vertex the mask of the lanes where vertex 0 reaches it, and the reach
+masks grow by sweeps over the vertices.  One sweep in BFS order settles
+most blocks as connected; the rest sweep until their reach stops changing.
 
 One budget caps every scan.  Over it, ``edge_connectivity_subset``,
 ``enumerate_min_cuts_subset`` and ``is_super_edge_connected`` raise
@@ -37,22 +37,17 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, takewhile
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from functools import reduce
+from itertools import combinations, compress, takewhile
+from operator import and_
+from typing import Iterable, Iterator, Optional
 
 from .graphs import Edge, Graph, edge
 
-# numpy is imported inside the subset scan only, so the max-flow routes and
-# everything that never scans load without it.
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_BUDGET = 5_000_000
-# A block of the subset scan holds min(_BATCH, _BLOCK_BYTES // (8 n W))
-# subsets, so its adjacency rows stay within _BLOCK_BYTES whatever the order n
-# (and the rows gathered for its second stage within as much again).
-_BATCH = 32768
-_BLOCK_BYTES = 1 << 20
+# A block of the subset scan holds at most m**t <= _LANE_BOUND subsets, one
+# per bit of an int, for the m edges and t trailing indices of its subsets.
+_LANE_BOUND = 1 << 18
 
 
 class BudgetExceeded(Exception):
@@ -354,90 +349,36 @@ def _scan_order(g: Graph) -> tuple[list[Edge], int]:
     return forest + rest, len(forest)
 
 
-def _subset_blocks(m: int, k: int, tree_size: int, rows: int) -> Iterator[np.ndarray]:
-    """The k-subsets of range(m) whose first index is below ``tree_size``, in
-    lexicographic order, as index arrays of ``rows`` rows (the last one
-    shorter).
+def _lane_masks(m: int, t: int) -> list[int]:
+    """Per index j < m, a bitmask of the t-subsets of range(m) that hold j,
+    one bit (lane) per subset in lexicographic order.
 
-    Only the (k-2)-prefixes come from ``itertools.combinations`` (for k = 2,
-    the first indices); ``_expand``, applied twice (once), appends the other
-    indices in numpy, so no Python tuple is built per subset or per
-    (k-1)-prefix.
+    The t-subsets with first index a are a followed by each (t-1)-subset
+    above a, and those are the last C(m-a-1, t-1) of all (t-1)-subsets, so
+    each t comes from the masks for t - 1 by one shift per index pair.
     """
-    import numpy as np
-
-    if k == 1:
-        for lo in range(0, tree_size, rows):
-            yield np.arange(lo, min(lo + rows, tree_size))[:, None]
-        return
-    tail = min(k - 1, 2)  # indices appended by _expand
-    prefixes = takewhile(lambda p: p[0] < tree_size,
-                         combinations(range(m - tail), k - tail))
-    carry = np.empty((0, k), dtype=np.intp)
-    while True:
-        group, count = [], len(carry)
-        for prefix in prefixes:
-            group.append(prefix)
-            count += math.comb(m - 1 - prefix[-1], tail)
-            if count >= rows:
-                break
-        if not group:
-            break
-        block = np.array(group, dtype=np.intp)
-        for _ in range(tail):
-            block = _expand(block, m)
-        block = np.concatenate((carry, block))
-        cut = len(block) - len(block) % rows
-        for lo in range(0, cut, rows):
-            yield block[lo:lo + rows]
-        carry = block[cut:]
-    if len(carry):
-        yield carry
+    masks, lanes = [1 << j for j in range(m)], m
+    for d in range(2, t + 1):
+        level, at = [0] * m, 0
+        for a in range(m):
+            width = math.comb(m - a - 1, d - 1)
+            level[a] |= ((1 << width) - 1) << at
+            for j in range(a + 1, m):
+                level[j] |= masks[j] >> (lanes - width) << at
+            at += width
+        masks, lanes = level, at
+    return masks
 
 
-def _expand(p: np.ndarray, m: int) -> np.ndarray:
-    """Every row of p extended by one last index above its own last index and
-    below m, in lexicographic order."""
-    import numpy as np
-
-    start = p[:, -1] + 1
-    runs = m - start
-    first_row = np.cumsum(runs) - runs
-    last = np.arange(runs.sum()) + np.repeat(start - first_row, runs)
-    return np.column_stack((np.repeat(p, runs, axis=0), last))
-
-
-def _word_bits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The word index and the bit of each vertex in a row of uint64 words."""
-    import numpy as np
-
-    return v >> 6, np.left_shift(np.uint64(1), (v & 63).astype(np.uint64))
-
-
-def _leading(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """A contiguous view, in ``shape``, of the first items of ``buf``."""
-    return buf.reshape(-1)[:math.prod(shape)].reshape(shape)
-
-
-def _sweep_steps(adj: np.ndarray, reach: np.ndarray, vertices: Iterable[int]) -> list:
-    """Per vertex, in sweep order: its adjacency rows in ``adj``, the word of
-    ``reach`` that holds its bit, and the bit's shift within that word."""
-    import numpy as np
-
-    return [(adj[v], reach[:, v >> 6:(v >> 6) + 1], np.uint64(v & 63)) for v in vertices]
-
-
-def _sweep(steps: list, reach: np.ndarray, hit: np.ndarray, grow: np.ndarray) -> None:
-    """One in-place reachability sweep: each vertex, in the order of
-    ``steps``, that ``reach`` already holds adds its adjacency row to it."""
-    import numpy as np
-
-    one = np.uint64(1)
-    for rows_v, word, shift in steps:
-        np.right_shift(word, shift, out=hit)
-        np.bitwise_and(hit, one, out=hit)
-        np.multiply(rows_v, hit, out=grow)
-        np.bitwise_or(reach, grow, out=reach)
+def _sweep(adj: list[list[tuple[int, int]]], reach: list[int], vertices: Iterable[int]) -> None:
+    """One in-place reachability sweep: each vertex v, in the order given,
+    adds its reach to each neighbour w of its (w, kept) pairs in ``adj[v]``,
+    in the lanes that keep that edge."""
+    for v in vertices:
+        rv = reach[v]
+        if rv:
+            for w, kept in adj[v]:
+                reach[w] |= rv & kept
 
 
 def _disconnecting_subsets(
@@ -446,37 +387,29 @@ def _disconnecting_subsets(
     """Yield index k-subsets of ``order`` whose removal disconnects g, in
     lexicographic order, skipping those that touch no spanning-tree edge.
 
-    Each vertex's adjacency row is a bitmask of W = ceil(n/64) uint64 words.
-    A block of b subsets gets its own copy of every row, laid out (n, b, W) so
-    that one vertex's rows are contiguous; each subset position then clears
-    its edge's two bits.  Reachability grows from vertex 0 in two stages.
-    One sweep visits the vertices in the BFS order of g from vertex 0, and
-    settles as connected every subset whose reach is then full: reach never
-    holds a vertex that vertex 0 cannot reach, so that is sound.  The rows
-    and reach of the other subsets are gathered, in order, and sweep
-    alternately down and up the vertex numbers until a sweep adds nothing.
-    A block holds at most ``_BATCH`` subsets and ``_BLOCK_BYTES`` of rows.
-    Its arrays, and spares of the same size for the gathered subsets, are
-    allocated once per block size and reused, and the sweeps write into
-    them, so the blocks of a scan do not allocate and fault in fresh memory.
+    A block holds every k-subset with the same first k - t indices, one per
+    bit lane of Python ints, the last t indices in lexicographic order: t =
+    min(k - 1, 3), or 1 for k = 1, lowered while m**t exceeds
+    ``_LANE_BOUND``.  Each edge gets the mask of the lanes that keep it, and
+    each vertex the mask of the lanes where vertex 0 reaches it.  One sweep
+    visits the vertices in the BFS order of g from vertex 0; a block whose
+    lanes then all reach every vertex is connected, since reach never holds
+    a vertex that vertex 0 cannot reach.  Otherwise the sweeps go alternately
+    down and up the vertex numbers until one adds nothing, and the lanes
+    that miss some vertex disconnect.
     """
-    import numpy as np
-
     if k == 0:
         return
-    n = g.n
-    words = (n + 63) // 64
-    eu = np.array([e[0] for e in order], dtype=np.intp)
-    ev = np.array([e[1] for e in order], dtype=np.intp)
-    word_u, bit_u = _word_bits(eu)
-    word_v, bit_v = _word_bits(ev)
-    keep_u, keep_v = ~bit_u, ~bit_v
-    base = np.zeros((n, words), dtype=np.uint64)
-    np.bitwise_or.at(base, (eu, word_v), bit_v)
-    np.bitwise_or.at(base, (ev, word_u), bit_u)
-    full = np.zeros(words, dtype=np.uint64)
-    np.bitwise_or.at(full, *_word_bits(np.arange(n)))
-    rows = max(1, min(_BATCH, _BLOCK_BYTES // (8 * n * words)))
+    n, m = g.n, len(order)
+    t = 1 if k == 1 else min(k - 1, 3)
+    while t > 1 and m ** t > _LANE_BOUND:
+        t -= 1
+    total = math.comb(m, t)
+    kept = [((1 << total) - 1) ^ mask for mask in _lane_masks(m, t)]
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j, (u, v) in enumerate(order):
+        incident[u].append((v, j))
+        incident[v].append((u, j))
     bfs = [0]  # the first sweep's order
     seen = {0}
     for u in bfs:
@@ -484,55 +417,36 @@ def _disconnecting_subsets(
             if w not in seen:
                 seen.add(w)
                 bfs.append(w)
+    down = range(n - 1, -1, -1)
 
-    size = 0
-    for idx in _subset_blocks(len(order), k, tree_size, rows):
-        b = len(idx)
-        if b != size:  # every block but the last has `rows` subsets
-            size = b
-            adj = np.empty((n, b, words), dtype=np.uint64)
-            reach = np.empty((b, words), dtype=np.uint64)
-            grow = np.empty_like(reach)
-            hit = np.empty((b, 1), dtype=np.uint64)
-            first = _sweep_steps(adj, reach, bfs)
-            spare_adj, spare_reach = np.empty_like(adj), np.empty_like(reach)
-            before = np.empty_like(reach)
-            # flat position of the word holding v in u's row, for subset 0 of
-            # the block; subset i is i * words further on
-            flat = adj.reshape(-1)
-            at_u = eu * (b * words) + word_v
-            at_v = ev * (b * words) + word_u
-            row = np.arange(b) * words
-        np.copyto(adj, base[:, None, :])
-        # one subset position at a time, so each statement has distinct
-        # targets: a fancy `&=` with repeated targets would apply only one
-        for e in idx.T:
-            flat[at_u[e] + row] &= keep_v[e]
-            flat[at_v[e] + row] &= keep_u[e]
-
-        reach.fill(0)
-        reach[:, 0] = 1
-        _sweep(first, reach, hit, grow)
-        pending = np.flatnonzero((reach != full).any(axis=1))
-        c = len(pending)
-        if not c:
-            continue
-        rest_adj = _leading(spare_adj, (n, c, words))
-        rest = _leading(spare_reach, (c, words))
-        # mode "clip" lets take write into `out` without a buffer; the
-        # indices are in range anyway
-        np.take(adj, pending, axis=1, out=rest_adj, mode="clip")
-        np.take(reach, pending, axis=0, out=rest, mode="clip")
-        rest_before, rest_grow = _leading(before, (c, words)), _leading(grow, (c, words))
-        steps = _sweep_steps(rest_adj, rest, range(n - 1, -1, -1))
-        while True:
-            np.copyto(rest_before, rest)
-            _sweep(steps, rest, hit[:c], rest_grow)
-            if np.array_equal(rest, rest_before):
+    if k == 1:
+        prefixes: Iterable[tuple[int, ...]] = [()]
+    else:
+        prefixes = takewhile(lambda p: p[0] < tree_size, combinations(range(m - t), k - t))
+    for prefix in prefixes:
+        first = prefix[-1] + 1 if prefix else 0
+        lanes = math.comb(m - first, t)
+        full = (1 << lanes) - 1
+        keep = [full] * first + [mask >> (total - lanes) for mask in kept[first:]]
+        for j in prefix:
+            keep[j] = 0
+        adj = [[(w, keep[j]) for w, j in incident[v]] for v in range(n)]
+        reach = [full] + [0] * (n - 1)
+        _sweep(adj, reach, bfs)
+        steps = down
+        while (joint := reduce(and_, reach)) != full:
+            before = reach[:]
+            _sweep(adj, reach, steps)
+            if reach == before:
                 break
             steps = steps[::-1]
-        for i in pending[(rest != full).any(axis=1)]:
-            yield tuple(idx[i].tolist())
+        hits = full ^ joint
+        if not prefix:  # the lanes of k = 1 run past the spanning tree
+            hits &= (1 << tree_size) - 1
+        if hits:
+            tails = combinations(range(first, m), t)
+            for tail in compress(tails, map(int, f"{hits:b}"[::-1])):
+                yield prefix + tail
 
 
 def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutResult:
@@ -634,13 +548,3 @@ def is_super_edge_connected(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
 def format_cut(cut: Iterable[Edge]) -> str:
     return " ".join(f"{u}-{v}" for u, v in sorted(edge(u, v) for u, v in cut))
 
-
-def parse_cut(text: str) -> frozenset[Edge]:
-    out = set()
-    for token in text.split():
-        try:
-            u, v = (int(p) for p in token.split("-"))
-        except ValueError as exc:
-            raise ValueError(f"bad cut token {token!r}") from exc
-        out.add(edge(u, v))
-    return frozenset(out)

@@ -34,7 +34,6 @@ from tensorcut.mincut import (
     is_super_edge_connected,
     is_vertex_star,
     min_st_cut,
-    parse_cut,
 )
 from tensorcut.product import direct_product
 from test_dense import bridged
@@ -181,51 +180,51 @@ def _kernel_disconnecting(g, k):
     return list(mincut._disconnecting_subsets(g, k, order, tree_size))
 
 
-@pytest.mark.parametrize("batch, block_bytes", [(mincut._BATCH, mincut._BLOCK_BYTES),
-                                                (7, mincut._BLOCK_BYTES),
-                                                (mincut._BATCH, 240)])
-def test_kernel_matches_plain_scan_on_small_graphs(monkeypatch, batch, block_bytes):
+@pytest.mark.parametrize("lane_bound, tails", [(1, {1}), (100, {1, 2}),
+                                               (mincut._LANE_BOUND, {1, 2, 3})],
+                         ids=["t1", "t2", "t3"])
+def test_kernel_matches_plain_scan_on_small_graphs(monkeypatch, lane_bound, tails):
     # every connected graph on 2..6 vertices, each level up to delta; the
-    # largest level is C(15, 5) = 3003 subsets (K_6).  Blocks of 7 split the
-    # run of one (k-1)-prefix, and the block that meets the spanning-tree
-    # tail ends short.  240 bytes of rows make blocks of 240 // (8 n) subsets:
-    # 15 on 2 vertices down to 5 on 6.
-    monkeypatch.setattr(mincut, "_BATCH", batch)
-    monkeypatch.setattr(mincut, "_BLOCK_BYTES", block_bytes)
+    # largest level is C(15, 5) = 3003 subsets (K_6).  A lane bound of 1
+    # puts one index in the lanes throughout, 100 up to two on at most 10
+    # edges, and the real bound up to three.
+    seen = set()
+    real = mincut._lane_masks
+
+    def recording(m, t):
+        seen.add(t)
+        return real(m, t)
+
+    monkeypatch.setattr(mincut, "_LANE_BOUND", lane_bound)
+    monkeypatch.setattr(mincut, "_lane_masks", recording)
     for g in (g for n in range(2, 7) for g in connected_graphs(n)):
         for k in range(1, g.min_degree() + 1):
             assert _kernel_disconnecting(g, k) == list(_plain_scan(g, k)), (g, k)
+    assert seen == tails
 
 
-def test_subset_blocks_cover_the_tree_touching_subsets():
-    # k >= 3 appends two indices to each (k-2)-prefix, k = 2 one to each
-    # first index.  Blocks of 1 and 7 split a prefix's run across blocks;
-    # blocks of 10**6 leave one short block.
-    for m in range(1, 11):
-        for k in range(1, 7):
-            for tree_size in range(0, m + 1):
-                want = [c for c in combinations(range(m), k) if c[0] < tree_size]
-                for rows in (1, 7, 10**6):
-                    blocks = list(mincut._subset_blocks(m, k, tree_size, rows))
-                    assert all(len(b) == rows for b in blocks[:-1])
-                    assert all(len(b) for b in blocks)
-                    got = [tuple(row) for b in blocks for row in b.tolist()]
-                    assert got == want, (m, k, tree_size, rows)
+def test_lane_masks_match_brute_force():
+    # bit i of mask j is set exactly when the i-th t-subset of range(r), in
+    # lexicographic order, holds j
+    for r in range(1, 8):
+        for t in range(1, 4):
+            subsets = list(combinations(range(r), t))
+            masks = mincut._lane_masks(r, t)
+            assert len(masks) == r
+            for j, mask in enumerate(masks):
+                want = sum(1 << i for i, sub in enumerate(subsets) if j in sub)
+                assert mask == want, (r, t, j)
 
 
-def test_kernel_on_multiword_rows(monkeypatch):
-    # n > 64 puts each adjacency row in W > 1 words: 2 for C_70, 3 for a
-    # 130-cycle with chords every 10 vertices (2-edge-connected, delta 2).
-    # 100000 bytes of rows make blocks of 89 and 32 subsets.
+def test_kernel_on_multiword_rows():
+    # lanes past 64 bits span several machine words: a block of C_70 holds up
+    # to 69 of them at level 2, and one of a 130-cycle with chords every 10
+    # vertices (2-edge-connected, delta 2, 143 edges) up to 142
     chorded = Graph(130, set(cycle_graph(130).edges)
                     | {(i, i + 5) for i in range(0, 130, 10)})
-    for g, levels in ((cycle_graph(70), (1, 2)), (chorded, (1, 2))):
-        for k in levels:
-            plain = list(_plain_scan(g, k))
-            assert _kernel_disconnecting(g, k) == plain, (g.n, k)
-            with monkeypatch.context() as patch:
-                patch.setattr(mincut, "_BLOCK_BYTES", 100_000)
-                assert _kernel_disconnecting(g, k) == plain, (g.n, k)
+    for g in (cycle_graph(70), chorded):
+        for k in (1, 2):
+            assert _kernel_disconnecting(g, k) == list(_plain_scan(g, k)), (g.n, k)
         assert edge_connectivity_subset(g).value == edge_connectivity(g).value == 2
 
 
@@ -528,28 +527,28 @@ def test_super_edge_connected_budget():
 
 def test_cut_text_round_trip():
     cut = frozenset({(0, 1), (2, 5)})
-    assert parse_cut(format_cut(cut)) == cut
     assert format_cut(cut) == "0-1 2-5"
-    with pytest.raises(ValueError):
-        parse_cut("0-1 junk")
+    assert format_cut([(5, 2), (1, 0)]) == "0-1 2-5"
 
 
 _NUMPY_PROBE = """
 import sys
 import tensorcut, tensorcut.cli
 from tensorcut.harness import CHECK_NAMES, CampaignConfig, run_campaign
-report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4, checks=CHECK_NAMES))
-assert report.summary["mismatches"] == 0
-assert "numpy" not in sys.modules, "numpy loaded without a subset scan"
+for oracle in ("maxflow", "subset"):
+    report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4,
+                                         checks=CHECK_NAMES, oracle=oracle))
+    assert report.summary["mismatches"] == 0
 from tensorcut.graphs import complete_graph, cycle_graph
 from tensorcut.product import direct_product
 g = direct_product(cycle_graph(4), complete_graph(3))
 assert tensorcut.edge_connectivity_subset(g).value == 4
-assert "numpy" in sys.modules
+assert tensorcut.is_super_edge_connected(g)
+assert "numpy" not in sys.modules, "numpy loaded"
 """
 
 
-def test_numpy_is_loaded_only_by_the_subset_scan():
+def test_numpy_is_never_loaded():
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
                           env={**os.environ, "PYTHONPATH": str(src)},

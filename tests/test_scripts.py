@@ -25,3 +25,11 @@ def test_bad_input_exits_2(tmp_path, script, args, message):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {message}")
     assert "Traceback" not in proc.stderr
+
+
+def test_checks_list_drops_empty_items(tmp_path):
+    # a trailing comma is an empty item, dropped as `verify --checks` does
+    proc = run_script("run_verification.py", "--checks", "theorem1,", "--max-g-order", "2",
+                      "--max-h-order", "3", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "verification_report.jsonl").exists()
