@@ -136,19 +136,22 @@ def _cmd_super(args, reader: _GraphReader) -> int:
     g = reader.read(args.g)
     payload: dict = {"n": args.n}
     try:
-        payload["super"] = is_super_edge_connected_kn(g, args.n)
+        expected = payload["super"] = is_super_edge_connected_kn(g, args.n)
     except ExcludedCaseError as exc:
-        payload.update(excluded=True, bruteforce_answer=exc.bruteforce_answer,
-                       reason=str(exc))
+        expected = exc.bruteforce_answer
+        payload.update(excluded=True, bruteforce_answer=expected, reason=str(exc))
+    code = 0
     if args.brute:
         try:
-            payload["bruteforce"] = is_super_edge_connected(
+            brute = is_super_edge_connected(
                 direct_product(g, complete_graph(args.n)), args.budget
             )
         except BudgetExceeded:
-            payload["bruteforce"] = None
+            brute = None
+        payload["bruteforce"] = brute
+        code = 2 if brute is None else int(brute != expected)
     _emit(payload)
-    return 0
+    return code
 
 
 def _cmd_family(args, reader: _GraphReader) -> int:
@@ -211,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("n", type=int)
     p.add_argument("--brute", action="store_true",
-                   help="also run the exhaustive definitional check")
+                   help="also run the exhaustive definitional check: exit 1 "
+                        "when it disagrees, 2 when over budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="most edge subsets the --brute scan may test")
     p.set_defaults(func=_cmd_super)

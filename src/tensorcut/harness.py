@@ -3,16 +3,18 @@
 A campaign crosses a corpus of first factors with a corpus of dense second
 factors and runs the selected checks on every pair.  Any disagreement with
 the brute-force oracles is recorded as a replayable counterexample
-certificate.  Only the budgeted subset oracle (``oracle = subset``) can leave
-an instance inconclusive, and it is then marked so, never failed.
+certificate.  The oracle chooses each pair's kappa' and its list of minimum
+cuts: max-flow and Picard-Queyranne enumeration (``oracle = maxflow``), or
+the budgeted subset scan (``oracle = subset``).  Only the subset oracle can
+leave an instance inconclusive, and it is then marked so, never failed.
 
-``theorem2`` checks an equality of cut sets: the enumerated minimum cuts of
+``theorem2`` checks an equality of cut sets: the listed minimum cuts of
 G x H must be exactly the ones Theorem 2 predicts, the stars of the
 minimum-degree product vertices and the lifts of G's minimum cuts, each
 where its bound attains the minimum.  Cuts are matched by set membership;
 only an extra cut on an exceptional pair (K_2, H_l) is handed to
 ``classify_min_cut``, and it must come back exceptional.  The closed form's
-value must also equal the max-flow kappa'.
+value must also equal kappa', the size of the listed cuts.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .mincut import (
     edge_connectivity,
     edge_connectivity_subset,
     enumerate_min_cuts,
+    enumerate_min_cuts_subset,
     is_vertex_star,
     min_st_cut,
 )
@@ -216,7 +219,6 @@ class _Pair:
     g: Graph
     h: Graph
     config: CampaignConfig
-    cuts: Optional[tuple[frozenset[Edge], ...]] = None  # see _cached_enumeration
 
     @cached_property
     def product(self) -> Graph:
@@ -238,11 +240,22 @@ class _Pair:
         except BudgetExceeded:
             return None
 
+    @cached_property
+    def cuts(self) -> Optional[tuple[frozenset[Edge], ...]]:
+        """The minimum cuts of G x H by the configured oracle; None when over
+        budget."""
+        if self.config.oracle == "maxflow":
+            return enumerate_min_cuts(self.product).cuts
+        try:
+            return enumerate_min_cuts_subset(
+                self.product, self.config.enumeration_budget).cuts
+        except BudgetExceeded:
+            return None
 
-def _cached_enumeration(pair: _Pair) -> tuple[frozenset[Edge], ...]:
-    """The pair's minimum cuts, enumerated by the first check that asks."""
-    if pair.cuts is None:
-        pair.cuts = enumerate_min_cuts(pair.product).cuts
+
+def _cached_enumeration(pair: _Pair) -> Optional[tuple[frozenset[Edge], ...]]:
+    """The pair's minimum cuts, enumerated by the first check that asks.  The
+    checks read them only here, so a profiler can wrap this one function."""
     return pair.cuts
 
 
@@ -260,8 +273,11 @@ def _certificate(pair: _Pair, check: str, expected, observed, **cuts: str) -> di
 
 
 def _settle(rec: dict, pair: _Pair, check: str, expected, observed) -> dict:
-    """Mark rec ok when observed equals expected, else a certified mismatch."""
-    if observed == expected:
+    """Mark rec ok when observed equals expected, inconclusive when the
+    oracle gave no answer (None), else a certified mismatch."""
+    if observed is None:
+        rec["status"] = "inconclusive"
+    elif observed == expected:
         rec["status"] = "ok"
     else:
         rec.update(status="mismatch",
@@ -277,9 +293,6 @@ def _check_theorem1(pair: _Pair) -> dict:
         "branch": res.branch.value,
         "oracle": oracle,
     }
-    if oracle is None:
-        rec["status"] = "inconclusive"
-        return rec
     return _settle(rec, pair, "theorem1", res.value, oracle)
 
 
@@ -333,8 +346,8 @@ def _predicted_cuts(pair: _Pair, res: FormulaResult
     return stars, lifts
 
 
-def _unpredicted(pair: _Pair, cut: frozenset[Edge], exceptional_pair: bool
-                 ) -> Optional[str]:
+def _unpredicted(pair: _Pair, cut: frozenset[Edge], kappa: int,
+                 exceptional_pair: bool) -> Optional[str]:
     """Why an enumerated cut outside the predicted set fails theorem2, or
     None when it is an exceptional cut, which only (K_2, H_l) may have.
 
@@ -344,7 +357,7 @@ def _unpredicted(pair: _Pair, cut: frozenset[Edge], exceptional_pair: bool
     if not exceptional_pair:
         return "unpredicted"
     product = pair.product
-    if (len(cut) != pair.kappa or not cut <= product.edges
+    if (len(cut) != kappa or not cut <= product.edges
             or remove_edges(product, cut).is_connected()):
         return "not a minimum cut"
     verdict = _classify(pair, cut)
@@ -355,10 +368,14 @@ def _unpredicted(pair: _Pair, cut: frozenset[Edge], exceptional_pair: bool
 
 def _check_theorem2(pair: _Pair) -> dict:
     g, h = pair.g, pair.h
-    rec: dict = {"kappa": pair.kappa,
-                 "subsets": math.comb(len(pair.product.edges), pair.kappa)}
-    res = kappa_formula(g, h)
     cuts = _cached_enumeration(pair)
+    if cuts is None:
+        return {"kappa": None, "status": "inconclusive"}
+    # an empty list, which only a faulty engine gives, reads as kappa' 0
+    kappa = min(map(len, cuts), default=0)
+    rec: dict = {"kappa": kappa,
+                 "subsets": math.comb(len(pair.product.edges), kappa)}
+    res = kappa_formula(g, h)
     stars, lifts = _predicted_cuts(pair, res)
     counts = {v.value: 0 for v in CutVerdict}
     exceptional_pair = g == complete_graph(2) and is_exceptional_member(h) is not None
@@ -369,7 +386,7 @@ def _check_theorem2(pair: _Pair) -> dict:
         elif cut in lifts:
             verdict = CutVerdict.INDUCED_BY_FACTOR_CUT
         else:
-            observed = _unpredicted(pair, cut, exceptional_pair)
+            observed = _unpredicted(pair, cut, kappa, exceptional_pair)
             if observed is not None:
                 rec["status"] = "mismatch"
                 rec["certificate"] = _certificate(
@@ -389,10 +406,10 @@ def _check_theorem2(pair: _Pair) -> dict:
             missing=format_product_cut(min(missing, key=sorted), h.n),
         )
         return rec
-    if res.value != pair.kappa:
+    if res.value != kappa:
         # the sets can agree when the closed form is off in step with its bound
         rec["status"] = "mismatch"
-        rec["certificate"] = _certificate(pair, "theorem2", res.value, pair.kappa)
+        rec["certificate"] = _certificate(pair, "theorem2", res.value, kappa)
         return rec
     if exceptional_pair:
         l = is_exceptional_member(h)
@@ -411,17 +428,16 @@ def _check_theorem2(pair: _Pair) -> dict:
 
 def _check_corollary2(pair: _Pair) -> dict:
     n = pair.h.n
-    rec: dict = {"n": n}
-    brute = all(is_vertex_star(pair.product, c) is not None
-                for c in _cached_enumeration(pair))
-    rec["bruteforce"] = brute
+    cuts = _cached_enumeration(pair)
+    brute = None if cuts is None else all(
+        is_vertex_star(pair.product, c) is not None for c in cuts)
+    rec: dict = {"n": n, "bruteforce": brute}
     try:
-        predicted = is_super_edge_connected_kn(pair.g, n)
+        predicted = expected = is_super_edge_connected_kn(pair.g, n)
     except ExcludedCaseError as exc:
-        rec.update(excluded=True, predicted=None)
-        return _settle(rec, pair, "corollary2", exc.bruteforce_answer, brute)
+        rec["excluded"], predicted, expected = True, None, exc.bruteforce_answer
     rec["predicted"] = predicted
-    return _settle(rec, pair, "corollary2", predicted, brute)
+    return _settle(rec, pair, "corollary2", expected, brute)
 
 
 def _check_weichsel(pair: _Pair) -> dict:

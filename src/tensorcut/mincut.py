@@ -26,10 +26,11 @@ each vertex the mask of the lanes where vertex 0 reaches it, and the reach
 masks grow by sweeps over the vertices.  One sweep in BFS order settles
 most blocks as connected; the rest sweep until their reach stops changing.
 
-One budget caps every scan.  Over it, ``edge_connectivity_subset``,
-``enumerate_min_cuts_subset`` and ``is_super_edge_connected`` raise
-BudgetExceeded instead of answering from a partial scan, so a cut list is
-always complete.  The max-flow routes need no budget.
+One level search under one budget rule serves every scan: kappa' is the
+first level with a disconnecting subset, ``edge_connectivity_subset`` takes
+its first hit and ``enumerate_min_cuts_subset`` all of them.  Over budget,
+they and ``is_super_edge_connected`` raise BudgetExceeded instead of
+answering from a partial scan.  The max-flow routes need no budget.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, compress, takewhile
+from itertools import chain, combinations, compress, takewhile
 from operator import and_
 from typing import Iterable, Iterator, Optional
 
@@ -449,20 +450,17 @@ def _disconnecting_subsets(
                 yield prefix + tail
 
 
-def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutResult:
-    """kappa' by brute force: scan subsets of increasing size up to min degree.
+def _first_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
+    """The disconnecting edge sets of the least size that has one, in
+    lexicographic scan order, for a connected g with n >= 2.
 
-    The value and witness come from the scan alone: the first disconnecting
-    subset, in lexicographic scan order, of the least size that has one.
-    Raises BudgetExceeded before starting any level that would push the
-    running count of subsets, over all levels from 1, past the budget.
-    Levels below a checked lower bound (``_certified_lower_bound``) cannot
-    hit and are counted but not scanned, so a faulty max-flow can cost time
-    but cannot change an answer or a budget decision.
+    That size is kappa', and level delta always hits.  Raises BudgetExceeded
+    before starting any level that would push the running count of subsets,
+    over all levels from 1, past the budget.  Levels below a checked lower
+    bound (``_certified_lower_bound``) cannot hit and are counted but not
+    scanned, so a faulty max-flow can cost time but cannot change an answer
+    or a budget decision.
     """
-    trivial = _disconnected_cut(g)
-    if trivial is not None:
-        return trivial
     order, tree_size = _scan_order(g)
     m = len(order)
     spent, stop = 1, g.min_degree()
@@ -476,43 +474,30 @@ def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutRe
             raise BudgetExceeded(
                 f"subset search would test {spent} subsets (budget {budget})"
             )
-        for combo in _disconnecting_subsets(g, k, order, tree_size):
-            return _component_cut(g, frozenset(order[i] for i in combo))
+        hits = _disconnecting_subsets(g, k, order, tree_size)
+        for first in hits:
+            return (frozenset(order[i] for i in combo) for combo in chain((first,), hits))
     raise AssertionError("removing a minimum-degree star must disconnect")
 
 
-def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnumeration:
-    """All minimum edge cuts, by scanning the C(|E|, kappa') edge subsets.
+def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutResult:
+    """kappa' by brute force, witnessed by the first disconnecting subset, in
+    lexicographic scan order, of the least size that has one.  Raises
+    BudgetExceeded under the rule of ``_first_level_hits``."""
+    trivial = _disconnected_cut(g)
+    if trivial is not None:
+        return trivial
+    return _component_cut(g, next(_first_level_hits(g, budget)))
 
-    The oracle for ``enumerate_min_cuts``.  Raises BudgetExceeded, before
-    scanning, when that count exceeds the budget.  kappa' comes from
-    max-flow, but the list does not trust it: a checked certificate must prove
-    kappa' >= value and the scan must find a cut of that size, or the call
-    raises RuntimeError naming the disagreement.
-    """
+
+def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnumeration:
+    """All minimum edge cuts by brute force, the oracle for
+    ``enumerate_min_cuts``: every disconnecting subset of the least size that
+    has one.  kappa' comes from the scan, not from max-flow, under the budget
+    rule and message of ``_first_level_hits``."""
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
-    value = edge_connectivity(g).value
-    bound = _certified_lower_bound(g, value)
-    if bound < value:
-        raise RuntimeError(
-            f"max-flow kappa' {value} exceeds the checked lower bound {bound}"
-        )
-    subsets = math.comb(len(g.edges), value)
-    if subsets > budget:
-        raise BudgetExceeded(
-            f"cut enumeration would test {subsets} subsets (budget {budget})"
-        )
-    order, tree_size = _scan_order(g)
-    cuts = {
-        frozenset(order[i] for i in combo)
-        for combo in _disconnecting_subsets(g, value, order, tree_size)
-    }
-    if not cuts:
-        raise RuntimeError(
-            f"max-flow kappa' {value} disagrees with the subset scan: no {value} edges disconnect"
-        )
-    return CutEnumeration(tuple(sorted(cuts, key=sorted)))
+    return CutEnumeration(tuple(sorted(_first_level_hits(g, budget), key=sorted)))
 
 
 def is_vertex_star(g: Graph, cut: Iterable[Edge]) -> Optional[int]:

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from tensorcut import cli
 from tensorcut.cli import main
 from tensorcut.dense import exceptional_cut, exceptional_member
 from tensorcut.graph6 import emit_graph6, parse_graph6
@@ -113,9 +114,26 @@ def test_super_excluded_pair(g6_files, capsys):
 def test_super_brute_over_budget(g6_files, capsys):
     c5 = g6_files("c5.g6", cycle_graph(5))
     code, payload = run_json(capsys, ["super", c5, "4", "--brute", "--budget", "10"])
-    assert code == 0
+    assert code == 2  # inconclusive, and the payload is still printed
     assert payload["super"] is True
     assert payload["bruteforce"] is None
+    code, payload = run_json(capsys, ["super", c5, "4", "--budget", "10"])
+    assert code == 0 and "bruteforce" not in payload
+
+
+@pytest.mark.parametrize("graph, binding", [
+    (cycle_graph(4), "is_super_edge_connected_kn"),
+    # the excluded pair raises before the criterion's negation could act, so
+    # the brute force is negated against its attached answer instead
+    (complete_graph(2), "is_super_edge_connected"),
+])
+def test_super_brute_disagreement_fails(g6_files, capsys, monkeypatch, graph, binding):
+    real = getattr(cli, binding)
+    monkeypatch.setattr(cli, binding, lambda *args: not real(*args))
+    path = g6_files("g.g6", graph)
+    code, payload = run_json(capsys, ["super", path, "3", "--brute"])
+    assert code == 1
+    assert payload["bruteforce"] != payload.get("super", payload.get("bruteforce_answer"))
 
 
 def test_family_command(capsys):

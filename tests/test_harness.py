@@ -282,13 +282,17 @@ def test_weichsel_check_covers_bipartite_pairs():
 
 
 def test_inconclusive_exit_code():
-    # only the subset oracle has a budget to run out of; enumeration has none
+    # only the subset oracle has a budget to run out of, and under it theorem2
+    # reads the subset scan's cut list too
     cfg = CampaignConfig(max_g_order=2, max_h_order=3, checks=("theorem1", "theorem2"),
                          oracle="subset", enumeration_budget=5)
     report = run_campaign(cfg)
-    assert [r["status"] for r in report.records] == ["inconclusive", "ok"]
-    assert report.summary["inconclusive"] == 1
+    assert [r["status"] for r in report.records] == ["inconclusive", "inconclusive"]
+    assert report.records[1]["kappa"] is None
+    assert report.summary["inconclusive"] == 2
     assert report.exit_code == 2
+    cfg = dataclasses.replace(cfg, oracle="maxflow")
+    assert [r["status"] for r in run_campaign(cfg).records] == ["ok", "ok"]
 
 
 def test_pairs_enumerate_once(monkeypatch):
@@ -312,9 +316,9 @@ def test_pairs_enumerate_once(monkeypatch):
     assert len(report.records) == 12
     assert all(r["status"] == "ok" for r in report.records)
     # theorem2 enumerates each of the 6 pairs once and corollary2 reuses it;
-    # each product's kappa' is one max-flow call, none inside the enumeration
+    # kappa' is read off the cut list, so no max-flow of its own runs
     assert len(enumerated) == len(set(enumerated)) == 6
-    assert [g for g in flows if g in enumerated] == enumerated
+    assert flows == []
 
 
 def test_exit_code_on_mismatch():
@@ -454,6 +458,27 @@ def test_subset_oracle_campaign_follows_the_budget_rule():
         else:
             assert rec["oracle"] == value, rec
     assert report.summary["inconclusive"] == 4
+
+
+def test_subset_oracle_lists_the_cuts_of_theorem2_and_corollary2():
+    # under oracle = subset, theorem2 and corollary2 read the subset scan's
+    # cut list: on G 2..4 x dense H 3..4 at budget 100k every settled record
+    # equals the max-flow campaign's, and the inconclusive pairs are exactly
+    # those whose budget level is at most kappa'
+    cfg = CampaignConfig(max_g_order=4, max_h_order=4, checks=("theorem2", "corollary2"),
+                         enumeration_budget=100_000)
+    exact = strip_ms(run_campaign(cfg).records)
+    brute = strip_ms(run_campaign(dataclasses.replace(cfg, oracle="subset")).records)
+    assert len(brute) == len(exact) == 36
+    for rec, want in zip(brute, exact):
+        p = direct_product(parse_graph6(rec["g"]), parse_graph6(rec["h"]))
+        stop, _ = budget_stop(p, cfg.enumeration_budget)
+        if stop is not None and stop <= edge_connectivity(p).value:
+            assert rec["status"] == "inconclusive", rec
+            assert rec["kappa" if rec["check"] == "theorem2" else "bruteforce"] is None
+        else:
+            assert rec == want
+    assert Counter(r["status"] for r in brute) == {"ok": 26, "inconclusive": 10}
 
 
 def _off_by_one(real):

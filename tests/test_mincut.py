@@ -148,18 +148,28 @@ def _first_hit(g, value):
     return witness, (side, frozenset(range(g.n)) - side)
 
 
-def _check_budget_decision(g, budget, value, hit):
-    """edge_connectivity_subset raises exactly when the plain rule's level is
-    at most kappa', with the usual message, and otherwise answers with the
-    plain scan's first hit."""
+def _expected(g):
+    """kappa' of g, the plain scan's first hit and the max-flow cut list."""
+    value = edge_connectivity(g).value
+    return value, _first_hit(g, value), enumerate_min_cuts(g)
+
+
+def _check_budget_decision(g, budget, expected):
+    """edge_connectivity_subset and enumerate_min_cuts_subset raise exactly
+    when the plain rule's level is at most kappa', with the same message;
+    otherwise the first answers with the plain scan's first hit and the
+    second with the max-flow cut list."""
+    value, hit, cuts = expected
     stop, spent = budget_stop(g, budget)
     if stop is not None and stop <= value:
-        with pytest.raises(BudgetExceeded) as exc:
-            edge_connectivity_subset(g, budget)
-        assert str(exc.value) == f"subset search would test {spent} subsets (budget {budget})"
+        for oracle in (edge_connectivity_subset, enumerate_min_cuts_subset):
+            with pytest.raises(BudgetExceeded) as exc:
+                oracle(g, budget)
+            assert str(exc.value) == f"subset search would test {spent} subsets (budget {budget})"
     else:
         res = edge_connectivity_subset(g, budget)
         assert (res.value, res.witness, res.partition) == (value, *hit), (g, budget)
+        assert enumerate_min_cuts_subset(g, budget) == cuts, (g, budget)
 
 
 def test_subset_search_budget():
@@ -168,10 +178,9 @@ def test_subset_search_budget():
     # the bridged K_4 has kappa' 1 below delta 3: budgets that level 1 fits
     # answer with the bridge, even where level 2 or 3 would not fit
     for g in (complete_graph(7), C6, bridged(K4), bridged(complete_graph(5))):
-        value = edge_connectivity(g).value
-        hit = _first_hit(g, value)
+        expected = _expected(g)
         for budget in BUDGETS:
-            _check_budget_decision(g, budget, value, hit)
+            _check_budget_decision(g, budget, expected)
     assert edge_connectivity_subset(bridged(K4), budget=20).witness == {(0, 4)}
 
 
@@ -229,23 +238,22 @@ def test_kernel_on_multiword_rows():
 
 
 def _small_products():
-    """G on 2..3 x dense H on 3..4, each with kappa' and the plain scan's
-    first hit."""
+    """G on 2..3 x dense H on 3..4, each with what ``_expected`` gives."""
     dense = [h for n in (3, 4) for h in all_graphs(n) if dense_precondition(h)]
     for g in (g for n in (2, 3) for g in connected_graphs(n)):
         for h in dense:
             p = direct_product(g, h)
-            value = edge_connectivity(p).value
-            yield p, value, _first_hit(p, value)
+            yield p, _expected(p)
 
 
 def test_subset_witness_is_the_first_hit():
     # the oracle's witness and partition are those of the first tree-touching
-    # kappa'-subset, in lexicographic scan order, that disconnects, at every
-    # budget that the plain rule lets it answer under
-    for p, value, hit in _small_products():
+    # kappa'-subset, in lexicographic scan order, that disconnects, and its
+    # cut list is the max-flow one, at every budget that the plain rule lets
+    # it answer under
+    for p, expected in _small_products():
         for budget in BUDGETS:
-            _check_budget_decision(p, budget, value, hit)
+            _check_budget_decision(p, budget, expected)
 
 
 def test_packing_checker_rejects_bad_walks():
@@ -295,7 +303,8 @@ def _shortcut(real):
 @pytest.mark.parametrize("mutant", [_overstated, _every_arc_full, _shortcut])
 def test_subset_oracle_survives_a_faulty_max_flow(monkeypatch, mutant):
     # the checker turns a faulty flow's packings down, so the scan starts
-    # lower; value, witness and budget decisions stay those of the plain scan
+    # lower; value, witness, cut list and budget decisions stay those of the
+    # plain scan
     cases = list(_small_products())
     rejected = []
     real_check = mincut._is_packing
@@ -307,17 +316,20 @@ def test_subset_oracle_survives_a_faulty_max_flow(monkeypatch, mutant):
 
     monkeypatch.setattr(mincut, "_unit_max_flow", mutant(mincut._unit_max_flow))
     monkeypatch.setattr(mincut, "_is_packing", counting_check)
-    for p, value, hit in cases:
+    for p, expected in cases:
         for budget in BUDGETS:
-            _check_budget_decision(p, budget, value, hit)
+            _check_budget_decision(p, budget, expected)
     assert any(rejected)
 
 
-@pytest.mark.parametrize("shift, match", [(-1, "disagrees with the subset scan"),
+@pytest.mark.parametrize("shift, fault", [(-1, "disagrees with the subset scan"),
                                           (1, "exceeds the checked lower bound")])
-def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, match):
-    # a kappa' one off either way gives no cut list, never a wrong one; an
-    # empty list would make is_super_edge_connected vacuously true
+def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, fault):
+    # a max-flow kappa' one off either way, so that it disagrees with the
+    # subset scan or exceeds the checked lower bound, changes neither the cut
+    # list nor the super edge connectivity check: kappa' comes from the scan
+    graphs = (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3)))
+    want = [(enumerate_min_cuts(g), is_super_edge_connected(g)) for g in graphs]
     real = mincut.edge_connectivity
 
     def shifted(g):
@@ -325,11 +337,26 @@ def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, match):
         return dataclasses.replace(res, value=res.value + shift)
 
     monkeypatch.setattr(mincut, "edge_connectivity", shifted)
-    for g in (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3))):
-        with pytest.raises(RuntimeError, match=match):
-            enumerate_min_cuts_subset(g)
-        with pytest.raises(RuntimeError, match=match):
-            is_super_edge_connected(g)
+    assert [(enumerate_min_cuts_subset(g), is_super_edge_connected(g))
+            for g in graphs] == want, fault
+
+
+def test_cut_list_needs_no_max_flow_kappa(monkeypatch):
+    # kappa' comes from the scan: with the max-flow routes raising, the cut
+    # list and the super edge connectivity check answer as before, and the
+    # lists are the max-flow ones
+    graphs = (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3)))
+    want = [(enumerate_min_cuts_subset(g), is_super_edge_connected(g)) for g in graphs]
+    assert [cuts for cuts, _ in want] == [enumerate_min_cuts(g) for g in graphs]
+    assert [brute for _, brute in want] == [False, False, True, True]
+
+    def no_flow(*args, **kwargs):
+        raise AssertionError("max-flow kappa' called")
+
+    for name in ("edge_connectivity", "enumerate_min_cuts", "min_st_cut"):
+        monkeypatch.setattr(mincut, name, no_flow)
+    assert [(enumerate_min_cuts_subset(g), is_super_edge_connected(g))
+            for g in graphs] == want
 
 
 def _matched_cliques(m, k):
@@ -392,7 +419,7 @@ def test_subset_oracle_survives_a_non_dominating_set(monkeypatch):
     # vertex 0 of a direct product is never universal, so {0} alone does not
     # dominate: the checker turns it down, the bound falls to 0 and the scan
     # starts at level 1; every oracle answer stays that of the plain scan, and
-    # the cut list is refused rather than trusted
+    # the cut list that of max-flow
     cases = list(_small_products())
     verdicts = []
     real_check = mincut._dominates
@@ -403,14 +430,14 @@ def test_subset_oracle_survives_a_non_dominating_set(monkeypatch):
 
     monkeypatch.setattr(mincut, "_dominating_set", lambda g: [0])
     monkeypatch.setattr(mincut, "_dominates", recording_check)
-    for p, _, _ in cases:
+    for p, _ in cases:
         assert mincut._certified_lower_bound(p, p.min_degree()) == 0
     assert verdicts and not any(verdicts)
-    for p, value, hit in cases:
+    for p, expected in cases:
         for budget in BUDGETS:
-            _check_budget_decision(p, budget, value, hit)
-    with pytest.raises(RuntimeError, match="exceeds the checked lower bound"):
-        enumerate_min_cuts_subset(direct_product(cycle_graph(4), complete_graph(3)))
+            _check_budget_decision(p, budget, expected)
+    c4k3 = direct_product(cycle_graph(4), complete_graph(3))
+    assert enumerate_min_cuts_subset(c4k3) == enumerate_min_cuts(c4k3)
 
 
 def test_enumerate_c6():
@@ -442,10 +469,11 @@ def test_enumerate_matches_naive_scan():
 
 
 def test_enumerate_budget_fallback():
-    # the scan oracle would test C(60, 6) subsets: no partial cut list is
-    # returned, while the max-flow engine needs no budget
+    # levels 1 and 2 of the 60 edges already count 1 + 60 + 1770 subsets, past
+    # the budget below kappa' = 6: no partial cut list is returned, while the
+    # max-flow engine needs no budget
     p = direct_product(cycle_graph(5), K4)
-    with pytest.raises(BudgetExceeded, match="50063860 subsets \\(budget 1000\\)"):
+    with pytest.raises(BudgetExceeded, match="1831 subsets \\(budget 1000\\)"):
         enumerate_min_cuts_subset(p, budget=1000)
     assert len(enumerate_min_cuts(p).cuts) == 20  # the 20 vertex stars
 
