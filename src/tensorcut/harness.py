@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-import platform
 import random
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -546,7 +546,7 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
         "g_source": config.g_source,
         "h_source": config.h_source,
         "tensorcut_version": __version__,
-        "python_version": platform.python_version(),
+        "python_version": sys.version.split()[0],
     }
     return VerificationReport(records, summary)
 

@@ -1,11 +1,11 @@
 """Exact edge connectivity, exact enumeration of all minimum cuts, and a
-budgeted subset-scan oracle for both.
+budgeted brute-force oracle for both.
 
 The exact routes run on unit-capacity max-flow: kappa' as the smallest
 minimum 0-t cut over the sinks t, and every minimum cut as a vertex set
 closed under the residual arcs of a max-flow (Picard and Queyranne, "On the
-structure of all minimum cuts in a network", 1980).  The brute-force scan of
-edge subsets is the independent oracle for both.  Its answers rest on two
+structure of all minimum cuts in a network", 1980).  An edge-subset scan
+and a vertex-side scan are the oracle for both.  The first rests on two
 bounds from disjoint code.  The scan gives the upper bound: every k-subset
 is tested for disconnection, except subsets that touch no spanning-tree
 edge, which provably cannot disconnect.  A checked certificate gives the
@@ -26,11 +26,16 @@ each vertex the mask of the lanes where vertex 0 reaches it, and the reach
 masks grow by sweeps over the vertices.  One sweep in BFS order settles
 most blocks as connected; the rest sweep until their reach stops changing.
 
-One level search under one budget rule serves every scan: kappa' is the
-first level with a disconnecting subset, ``edge_connectivity_subset`` takes
-its first hit and ``enumerate_min_cuts_subset`` all of them.  Over budget,
-they and ``is_super_edge_connected`` raise BudgetExceeded instead of
-answering from a partial scan.  The max-flow routes need no budget.
+A dense graph has a large kappa', and the edge scan's levels grow as
+C(|E|, kappa').  The side scan's cost does not depend on kappa': every
+minimum cut is delta(S) for one vertex set S that holds vertex 0, and it
+tests all 2**(n-1) of them, reading only degrees and adjacency masks.
+``_first_level_hits`` runs whichever of the two is smaller under the
+budget, so kappa' is the least side value or the first level with a
+disconnecting subset; ``edge_connectivity_subset`` takes the first cut it
+yields and ``enumerate_min_cuts_subset`` all of them.  Over budget, they
+and ``is_super_edge_connected`` raise BudgetExceeded instead of answering
+from a partial scan.  The max-flow routes need no budget.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ _LANE_BOUND = 1 << 18
 
 
 class BudgetExceeded(Exception):
-    """The requested exhaustive scan would test more subsets than allowed."""
+    """The requested exhaustive scan would test more edge subsets or vertex
+    sides than allowed."""
 
 
 @dataclass(frozen=True)
@@ -450,7 +456,7 @@ def _disconnecting_subsets(
                 yield prefix + tail
 
 
-def _first_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
+def _edge_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
     """The disconnecting edge sets of the least size that has one, in
     lexicographic scan order, for a connected g with n >= 2.
 
@@ -480,10 +486,105 @@ def _first_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
     raise AssertionError("removing a minimum-degree star must disconnect")
 
 
+# ---------------------------------------------------------------------------
+# Exhaustive side scanning, and the choice between the two scans.
+
+def _side_scan_cuts(g: Graph) -> list[frozenset[Edge]]:
+    """Every minimum cut of a connected g with n >= 2, by a scan of the
+    2**(n-1) - 1 proper vertex sets S that hold vertex 0, as sorted by
+    ``sorted``.
+
+    A minimum cut leaves two components, so it is delta(S) for exactly one
+    such S, and |delta(S)| = sum of deg v over S - 2 e(S); kappa' is the
+    least value.  The low vertices 0..l-1 are split off: each side A of
+    them that holds vertex 0 is a lane, a fixed-width field of one int, and
+    the tables of sum deg - 2 e(A) and of |N(v) & A| are built over the
+    lanes by doubling, one low vertex at a time.  The high vertices then
+    join and leave B in Gray-code order, each move updating every lane's
+    |delta(A | B)| at once.  The fields are offset by the least value so
+    far, with a guard bit on top, so one mask test finds the lanes at or
+    below it.  The scan reads only degrees and adjacency masks.
+    """
+    n, adj = g.n, g.adjacency_masks
+    deg = [a.bit_count() for a in adj]
+    width = len(g.edges).bit_length() + 1  # cut sizes <= |E| below a guard bit
+    low = min(n, n // 2 + 2)
+    ones, lanes = 1, 1
+    cut = deg[0]  # per lane: |delta(A)|, A = {0} first
+    nbrs = [a & 1 for a in adj]  # per vertex, per lane: |N(v) & A|
+    for j in range(1, low):
+        shift = width * lanes
+        cut |= (cut + deg[j] * ones - 2 * nbrs[j]) << shift
+        for v in range(j + 1, n):
+            nbrs[v] |= (nbrs[v] + (adj[v] >> j & 1) * ones) << shift
+        ones |= ones << shift
+        lanes *= 2
+    half, field = 1 << (width - 1), (1 << width) - 1
+    guard = half * ones
+    join = {b: deg[b] * ones - 2 * nbrs[b] for b in range(low, n)}
+    twice = [2 * k * ones for k in range(max(deg) + 1)]
+    everything = (1 << n) - 1
+    # A field of ``state`` holds |delta(A | B)| + half - best - 1, so its
+    # guard bit is clear exactly where the cut is at most ``best``.
+    best = g.min_degree()
+    state = cut + guard - (best + 1) * ones
+    high, sides = 0, []
+    for step in range(1 << (n - low)):
+        if step:
+            b = low + (step & -step).bit_length() - 1
+            move = join[b] - twice[(adj[b] & high).bit_count()]
+            high ^= 1 << b
+            state += move if high >> b & 1 else -move
+        if state & guard == guard:
+            continue
+        found = []
+        clear = guard & ~state
+        while clear:
+            top = clear.bit_length() - 1
+            clear ^= 1 << top
+            lane = top // width
+            side = 1 | lane << 1 | high
+            if side != everything:
+                value = (state >> lane * width & field) + best + 1 - half
+                found.append((value, side))
+        if not found:
+            continue
+        least = min(found)[0]
+        if least < best:
+            state += (best - least) * ones
+            best, sides = least, []
+        sides.extend(side for value, side in found if value == best)
+    cuts = (frozenset(e for e in g.edges if (side >> e[0] & 1) != (side >> e[1] & 1))
+            for side in sides)
+    return sorted(cuts, key=sorted)
+
+
+def _first_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
+    """The minimum cuts of a connected g with n >= 2, by whichever
+    exhaustive scan is smaller.
+
+    The side scan (``_side_scan_cuts``) tests 2**(n-1) vertex sides, the
+    level search (``_edge_level_hits``) at most the sum of C(|E|, k) over k
+    <= delta edge subsets.  The side scan runs when its count fits both the
+    budget and that sum, and yields the cuts sorted by ``sorted``; the
+    level search runs otherwise, under its own budget rule, and yields them
+    in lexicographic scan order.  So an answer depends only on the graph
+    and the budget, and BudgetExceeded is raised only when 2**(n-1) is
+    over the budget too.
+    """
+    sides = 1 << (g.n - 1)
+    if sides <= budget and sides <= sum(
+            math.comb(len(g.edges), k) for k in range(g.min_degree() + 1)):
+        return iter(_side_scan_cuts(g))
+    return _edge_level_hits(g, budget)
+
+
 def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutResult:
-    """kappa' by brute force, witnessed by the first disconnecting subset, in
-    lexicographic scan order, of the least size that has one.  Raises
-    BudgetExceeded under the rule of ``_first_level_hits``."""
+    """kappa' by brute force, witnessed by the first minimum cut that
+    ``_first_level_hits`` yields: the least by sorted edge list where the
+    side scan runs, else the first disconnecting subset, in lexicographic
+    scan order, of the least size that has one.  Raises BudgetExceeded under
+    the rule of ``_first_level_hits``."""
     trivial = _disconnected_cut(g)
     if trivial is not None:
         return trivial
@@ -492,9 +593,9 @@ def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutRe
 
 def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnumeration:
     """All minimum edge cuts by brute force, the oracle for
-    ``enumerate_min_cuts``: every disconnecting subset of the least size that
-    has one.  kappa' comes from the scan, not from max-flow, under the budget
-    rule and message of ``_first_level_hits``."""
+    ``enumerate_min_cuts``: every disconnecting edge set of the least size
+    that has one.  kappa' comes from the scan, not from max-flow, under the
+    budget rule and message of ``_first_level_hits``."""
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
     return CutEnumeration(tuple(sorted(_first_level_hits(g, budget), key=sorted)))

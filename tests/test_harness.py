@@ -16,6 +16,7 @@ from tensorcut.dense import (
     classify_min_cut,
     dense_precondition,
     exceptional_cut,
+    exceptional_member,
     kappa_formula,
 )
 from tensorcut.graph6 import emit_graph6, parse_graph6
@@ -34,7 +35,7 @@ from tensorcut.harness import (
     write_csv,
     write_jsonl,
 )
-from tensorcut.mincut import BudgetExceeded, edge_connectivity
+from tensorcut.mincut import BudgetExceeded
 from tensorcut.product import (
     direct_product,
     fibers_contained,
@@ -42,7 +43,7 @@ from tensorcut.product import (
     parse_product_cut,
 )
 from test_dense import bridged
-from test_mincut import budget_stop
+from test_mincut import over_budget
 
 
 def strip_ms(records):
@@ -442,43 +443,48 @@ def test_campaign_with_subset_oracle():
 
 
 def test_subset_oracle_campaign_follows_the_budget_rule():
-    # theorem1 by subset scan at budget 500k on G 2..3 x dense H 3..5: every
-    # settled oracle value is the max-flow kappa', and the inconclusive pairs
-    # are exactly those whose budget level is at most kappa'
-    cfg = CampaignConfig(max_g_order=3, max_h_order=5, checks=("theorem1",),
-                         oracle="subset", enumeration_budget=500_000)
-    report = run_campaign(cfg)
-    assert len(report.records) == 15
-    for rec in report.records:
+    # theorem1 by subset scan at budget 500k on G 2..4 x dense H 3..5, the
+    # benchmark's oracle campaign: the inconclusive pairs are exactly those
+    # the oracle's budget rule turns down, and every settled record equals
+    # the max-flow campaign's
+    cfg = CampaignConfig(max_g_order=4, max_h_order=5, checks=("theorem1",),
+                         enumeration_budget=500_000)
+    exact = strip_ms(run_campaign(cfg).records)
+    brute = strip_ms(run_campaign(dataclasses.replace(cfg, oracle="subset")).records)
+    assert len(brute) == len(exact) == 45
+    for rec, want in zip(brute, exact):
         p = direct_product(parse_graph6(rec["g"]), parse_graph6(rec["h"]))
-        value = edge_connectivity(p).value
-        stop, _ = budget_stop(p, cfg.enumeration_budget)
-        if stop is not None and stop <= value:
+        if over_budget(p, cfg.enumeration_budget, want["oracle"]):
             assert rec["status"] == "inconclusive" and rec["oracle"] is None, rec
         else:
-            assert rec["oracle"] == value, rec
-    assert report.summary["inconclusive"] == 4
+            assert rec == want
+    assert Counter(r["status"] for r in brute) == {"ok": 33, "inconclusive": 12}
 
 
 def test_subset_oracle_lists_the_cuts_of_theorem2_and_corollary2():
     # under oracle = subset, theorem2 and corollary2 read the subset scan's
-    # cut list: on G 2..4 x dense H 3..4 at budget 100k every settled record
-    # equals the max-flow campaign's, and the inconclusive pairs are exactly
-    # those whose budget level is at most kappa'
+    # cut list: on G 2..4 x dense H 3..4 at budget 100k every pair's sides
+    # fit, and every record equals the max-flow campaign's
     cfg = CampaignConfig(max_g_order=4, max_h_order=4, checks=("theorem2", "corollary2"),
                          enumeration_budget=100_000)
     exact = strip_ms(run_campaign(cfg).records)
     brute = strip_ms(run_campaign(dataclasses.replace(cfg, oracle="subset")).records)
-    assert len(brute) == len(exact) == 36
-    for rec, want in zip(brute, exact):
-        p = direct_product(parse_graph6(rec["g"]), parse_graph6(rec["h"]))
-        stop, _ = budget_stop(p, cfg.enumeration_budget)
-        if stop is not None and stop <= edge_connectivity(p).value:
-            assert rec["status"] == "inconclusive", rec
-            assert rec["kappa" if rec["check"] == "theorem2" else "bruteforce"] is None
-        else:
-            assert rec == want
-    assert Counter(r["status"] for r in brute) == {"ok": 26, "inconclusive": 10}
+    assert len(brute) == 36
+    assert brute == exact
+    assert Counter(r["status"] for r in brute) == {"ok": 36}
+
+
+def test_subset_oracle_settles_theorem2_on_k2_times_h3():
+    # K_2 x H_3 has 22 vertices: its 2**21 sides fit the default budget, and
+    # the subset cut list is the max-flow one, 22 stars and the exceptional cut
+    g, h = complete_graph(2), exceptional_member(3)
+    recs = [harness._check_theorem2(harness._Pair(g, h, CampaignConfig(oracle=oracle)))
+            for oracle in ("subset", "maxflow")]
+    assert recs[0] == recs[1]
+    assert recs[0]["status"] == "ok" and recs[0]["kappa"] == 6
+    assert recs[0]["exceptional_pair"] is True
+    assert recs[0]["verdicts"] == {"vertex_star": 22, "induced_by_factor_cut": 0,
+                                   "exceptional": 1}
 
 
 def _off_by_one(real):

@@ -119,7 +119,7 @@ BUDGETS = (10, 100, 10**3, 10**4, 10**5, 5 * 10**6)
 
 
 def budget_stop(g, budget):
-    """The plain budget rule of the subset oracle: the first level whose
+    """The plain budget rule of the edge route: the first level whose
     running subset count, from level 1 on, passes the budget, with that
     count; None and the total when no level up to delta does."""
     m, spent = len(g.edges), 1
@@ -128,6 +128,22 @@ def budget_stop(g, budget):
         if spent > budget:
             return k, spent
     return None, spent
+
+
+def side_scan_fits(g, budget):
+    """The subset oracle's choice of route: it scans the 2**(n-1) vertex sides
+    when they fit the budget and the edge route's worst-case count."""
+    sides = 2 ** (g.n - 1)
+    return sides <= budget and sides <= sum(
+        math.comb(len(g.edges), k) for k in range(g.min_degree() + 1))
+
+
+def over_budget(g, budget, value):
+    """Whether the subset oracle raises BudgetExceeded on g, of kappa'
+    ``value``: the sides do not fit the budget and the plain rule's level
+    is at most kappa'."""
+    stop, _ = budget_stop(g, budget)
+    return 2 ** (g.n - 1) > budget and stop is not None and stop <= value
 
 
 def _plain_scan(g, k):
@@ -139,49 +155,94 @@ def _plain_scan(g, k):
             and not remove_edges(g, [order[i] for i in c]).is_connected())
 
 
-def _first_hit(g, value):
-    """The plain scan's first disconnecting kappa'-subset and its partition."""
-    order, _ = mincut._scan_order(g)
-    witness = frozenset(order[i] for i in next(_plain_scan(g, value)))
+def _with_partition(g, witness):
+    """A cut and the partition it leaves, vertex 0's component first."""
     labels = remove_edges(g, witness).component_labels()
     side = frozenset(v for v in range(g.n) if labels[v] == labels[0])
     return witness, (side, frozenset(range(g.n)) - side)
 
 
 def _expected(g):
-    """kappa' of g, the plain scan's first hit and the max-flow cut list."""
+    """kappa' of g, the plain scan's first hit, the least minimum cut by
+    sorted edge list (each with its partition) and the max-flow cut list."""
     value = edge_connectivity(g).value
-    return value, _first_hit(g, value), enumerate_min_cuts(g)
+    order, _ = mincut._scan_order(g)
+    hit = frozenset(order[i] for i in next(_plain_scan(g, value)))
+    cuts = enumerate_min_cuts(g)
+    return value, _with_partition(g, hit), _with_partition(g, cuts.cuts[0]), cuts
+
+
+def _edge_route_kappa(g, budget):
+    return mincut._component_cut(g, next(mincut._edge_level_hits(g, budget)))
+
+
+def _edge_route_cuts(g, budget):
+    return mincut.CutEnumeration(tuple(sorted(mincut._edge_level_hits(g, budget), key=sorted)))
 
 
 def _check_budget_decision(g, budget, expected):
-    """edge_connectivity_subset and enumerate_min_cuts_subset raise exactly
-    when the plain rule's level is at most kappa', with the same message;
-    otherwise the first answers with the plain scan's first hit and the
-    second with the max-flow cut list."""
-    value, hit, cuts = expected
+    """The subset oracle's selection rule and the edge route's budget rule.
+
+    Where the sides fit (``side_scan_fits``), edge_connectivity_subset
+    answers with the least minimum cut by sorted edge list and
+    enumerate_min_cuts_subset with the max-flow cut list, and the edge route
+    is called directly; elsewhere the two oracles take the edge route.  That
+    route raises exactly when the plain rule's level is at most kappa', with
+    its message; otherwise it answers with the plain scan's first hit and
+    the max-flow cut list.
+    """
+    value, hit, least, cuts = expected
+    oracles = (edge_connectivity_subset, enumerate_min_cuts_subset)
+    if side_scan_fits(g, budget):
+        res = edge_connectivity_subset(g, budget)
+        assert (res.value, res.witness, res.partition) == (value, *least), (g, budget)
+        assert enumerate_min_cuts_subset(g, budget) == cuts, (g, budget)
+        oracles = (_edge_route_kappa, _edge_route_cuts)
     stop, spent = budget_stop(g, budget)
     if stop is not None and stop <= value:
-        for oracle in (edge_connectivity_subset, enumerate_min_cuts_subset):
+        for oracle in oracles:
             with pytest.raises(BudgetExceeded) as exc:
                 oracle(g, budget)
             assert str(exc.value) == f"subset search would test {spent} subsets (budget {budget})"
     else:
-        res = edge_connectivity_subset(g, budget)
+        res = oracles[0](g, budget)
         assert (res.value, res.witness, res.partition) == (value, *hit), (g, budget)
-        assert enumerate_min_cuts_subset(g, budget) == cuts, (g, budget)
+        assert oracles[1](g, budget) == cuts, (g, budget)
 
 
 def test_subset_search_budget():
     with pytest.raises(BudgetExceeded, match="test 22 subsets \\(budget 10\\)"):
         edge_connectivity_subset(complete_graph(7), budget=10)
     # the bridged K_4 has kappa' 1 below delta 3: budgets that level 1 fits
-    # answer with the bridge, even where level 2 or 3 would not fit
+    # answer with the bridge, even where level 2 or 3 would not fit; one side
+    # fewer than 2**(n-1) turns the side scan down
     for g in (complete_graph(7), C6, bridged(K4), bridged(complete_graph(5))):
         expected = _expected(g)
-        for budget in BUDGETS:
+        for budget in (*BUDGETS, 2 ** (g.n - 1) - 1, 2 ** (g.n - 1)):
             _check_budget_decision(g, budget, expected)
     assert edge_connectivity_subset(bridged(K4), budget=20).witness == {(0, 4)}
+    with pytest.raises(BudgetExceeded, match="test 232 subsets \\(budget 63\\)"):
+        edge_connectivity_subset(complete_graph(7), budget=63)
+    assert edge_connectivity_subset(complete_graph(7), budget=64).value == 6
+
+
+def test_oracle_runs_the_smaller_scan(monkeypatch):
+    # the side scan runs exactly when its 2**(n-1) sides fit both the budget
+    # and the edge route's count up to level delta, on every connected graph
+    # on 2..7 vertices at the edges of both bounds
+    ran = []
+    monkeypatch.setattr(mincut, "_side_scan_cuts", lambda g: ran.append("side") or [])
+    monkeypatch.setattr(mincut, "_edge_level_hits", lambda g, b: ran.append("edge") or iter(()))
+    routes = set()
+    for g in (g for n in range(2, 8) for g in connected_graphs(n)):
+        count = sum(math.comb(len(g.edges), k) for k in range(g.min_degree() + 1))
+        for budget in {*BUDGETS, 2 ** (g.n - 1) - 1, 2 ** (g.n - 1), count - 1, count}:
+            ran.clear()
+            mincut._first_level_hits(g, budget)
+            want = "side" if side_scan_fits(g, budget) else "edge"
+            assert ran == [want], (g, budget)
+            routes.add((want, 2 ** (g.n - 1) <= budget))
+    assert routes == {("side", True), ("edge", True), ("edge", False)}
 
 
 def _kernel_disconnecting(g, k):
@@ -247,10 +308,11 @@ def _small_products():
 
 
 def test_subset_witness_is_the_first_hit():
-    # the oracle's witness and partition are those of the first tree-touching
-    # kappa'-subset, in lexicographic scan order, that disconnects, and its
-    # cut list is the max-flow one, at every budget that the plain rule lets
-    # it answer under
+    # the edge route's witness and partition are those of the first
+    # tree-touching kappa'-subset, in lexicographic scan order, that
+    # disconnects, and its cut list is the max-flow one, at every budget that
+    # the plain rule lets it answer under; where the sides fit, the oracle's
+    # witness is the least minimum cut by sorted edge list
     for p, expected in _small_products():
         for budget in BUDGETS:
             _check_budget_decision(p, budget, expected)
@@ -437,7 +499,7 @@ def test_subset_oracle_survives_a_non_dominating_set(monkeypatch):
         for budget in BUDGETS:
             _check_budget_decision(p, budget, expected)
     c4k3 = direct_product(cycle_graph(4), complete_graph(3))
-    assert enumerate_min_cuts_subset(c4k3) == enumerate_min_cuts(c4k3)
+    assert _edge_route_cuts(c4k3, mincut.DEFAULT_BUDGET) == enumerate_min_cuts(c4k3)
 
 
 def test_enumerate_c6():
@@ -492,6 +554,16 @@ def test_enumeration_matches_subset_scan_on_small_graphs():
     assert len(graphs) == 142
     for g in graphs:
         assert enumerate_min_cuts(g) == enumerate_min_cuts_subset(g), g
+
+
+def test_side_scan_matches_max_flow_enumeration():
+    # every connected graph on 2..7 vertices (995 graphs) and every desk
+    # product with at most 20 vertices (87): the same cuts in the same order
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
+    small = [p for p in _desk_products() if p.n <= 20]
+    assert (len(graphs), len(small)) == (995, 87)
+    for g in graphs + small:
+        assert mincut._side_scan_cuts(g) == list(enumerate_min_cuts(g).cuts), g
 
 
 def test_enumeration_matches_subset_scan_on_products():
