@@ -1,20 +1,21 @@
 """Verification campaigns: corpora, per-pair checks, reports, certificates.
 
 A campaign crosses a corpus of first factors with a corpus of dense second
-factors and runs the selected checks on every pair.  Any disagreement with
-the brute-force oracles is recorded as a replayable counterexample
-certificate.  The oracle chooses each pair's kappa' and its list of minimum
-cuts: max-flow and Picard-Queyranne enumeration (``oracle = maxflow``), or
-the budgeted subset scan (``oracle = subset``).  Only the subset oracle can
-leave an instance inconclusive, and it is then marked so, never failed.
+factors and runs the selected checks on every pair.  The oracle chooses each
+pair's kappa' and its list of minimum cuts: max-flow and Picard-Queyranne
+enumeration (``oracle = maxflow``), or the budgeted subset scan (``oracle =
+subset``).  Every check ends in one verdict rule, ``_settle``: an observation
+of None, which only the subset oracle's budget gives, is inconclusive; one
+equal to the expectation is ok; anything else is a mismatch with a replayable
+counterexample certificate, never an exception.
 
-``theorem2`` checks an equality of cut sets: the listed minimum cuts of
-G x H must be exactly the ones Theorem 2 predicts, the stars of the
+``theorem2`` first compares the closed form's value with kappa', the size of
+the listed cuts, and then checks an equality of cut sets: the listed minimum
+cuts of G x H must be exactly the ones Theorem 2 predicts, the stars of the
 minimum-degree product vertices and the lifts of G's minimum cuts, each
 where its bound attains the minimum.  Cuts are matched by set membership;
 only an extra cut on an exceptional pair (K_2, H_l) is handed to
-``classify_min_cut``, and it must come back exceptional.  The closed form's
-value must also equal kappa', the size of the listed cuts.
+``classify_min_cut``, and it must come back exceptional.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def _h_corpus(config: CampaignConfig, dense_only: bool = True) -> list[Graph]:
 
 @dataclass
 class _Pair:
-    """One (G, H) pair and what its checks share, each computed once on use."""
+    """One (G, H) pair and what its checks share, each computed once on use:
+    the product, and kappa' and the minimum cuts by the configured oracle."""
 
     g: Graph
     h: Graph
@@ -225,15 +227,10 @@ class _Pair:
         return direct_product(self.g, self.h)
 
     @cached_property
-    def kappa(self) -> int:
-        """kappa'(G x H) by max-flow."""
-        return edge_connectivity(self.product).value
-
-    @cached_property
     def oracle_kappa(self) -> Optional[int]:
         """kappa'(G x H) by the configured oracle; None when over budget."""
         if self.config.oracle == "maxflow":
-            return self.kappa
+            return edge_connectivity(self.product).value
         try:
             return edge_connectivity_subset(
                 self.product, self.config.enumeration_budget).value
@@ -259,29 +256,25 @@ def _cached_enumeration(pair: _Pair) -> Optional[tuple[frozenset[Edge], ...]]:
     return pair.cuts
 
 
-def _certificate(pair: _Pair, check: str, expected, observed, **cuts: str) -> dict:
-    """A replayable mismatch; ``cuts`` adds product cuts in the text format."""
-    return {
-        "check": check,
-        "g": emit_graph6(pair.g),
-        "h": emit_graph6(pair.h),
-        "oracle": pair.config.oracle,
-        "expected": expected,
-        "observed": observed,
-        **cuts,
-    }
-
-
-def _settle(rec: dict, pair: _Pair, check: str, expected, observed) -> dict:
-    """Mark rec ok when observed equals expected, inconclusive when the
-    oracle gave no answer (None), else a certified mismatch."""
+def _settle(rec: dict, pair: _Pair, check: str, expected, observed, **cuts: str) -> dict:
+    """The verdict of every check: rec is inconclusive when the oracle gave
+    no answer (observed is None), ok when observed equals expected, and
+    otherwise a mismatch with a replayable certificate, to which ``cuts``
+    adds product cuts in the text format."""
     if observed is None:
         rec["status"] = "inconclusive"
     elif observed == expected:
         rec["status"] = "ok"
     else:
-        rec.update(status="mismatch",
-                   certificate=_certificate(pair, check, expected, observed))
+        rec.update(status="mismatch", certificate={
+            "check": check,
+            "g": emit_graph6(pair.g),
+            "h": emit_graph6(pair.h),
+            "oracle": pair.config.oracle,
+            "expected": expected,
+            "observed": observed,
+            **cuts,
+        })
     return rec
 
 
@@ -297,22 +290,16 @@ def _check_theorem1(pair: _Pair) -> dict:
 
 
 def _check_corollary1(pair: _Pair) -> dict:
+    """The complete-factor form must equal both the general form and the
+    oracle."""
     n = pair.h.n
     kn = kappa_formula_kn(pair.g, n)
     general = kappa_formula(pair.g, pair.h)
     oracle = pair.oracle_kappa
     rec = {"n": n, "kn_value": kn.value, "formula": general.value, "oracle": oracle}
-    if oracle is None:
-        rec["status"] = "inconclusive"
-    elif kn.value == general.value == oracle:
-        rec["status"] = "ok"
-    else:
-        rec["status"] = "mismatch"
-        rec["certificate"] = _certificate(
-            pair, "corollary1", kn.value,
-            {"formula": general.value, "oracle": oracle},
-        )
-    return rec
+    observed = None if oracle is None else {"formula": general.value, "oracle": oracle}
+    return _settle(rec, pair, "corollary1",
+                   dict.fromkeys(("formula", "oracle"), kn.value), observed)
 
 
 def _classify(pair: _Pair, cut) -> Optional[CutVerdict]:
@@ -366,20 +353,13 @@ def _unpredicted(pair: _Pair, cut: frozenset[Edge], kappa: int,
     return "unclassifiable" if verdict is None else f"unpredicted {verdict.value}"
 
 
-def _check_theorem2(pair: _Pair) -> dict:
-    g, h = pair.g, pair.h
-    cuts = _cached_enumeration(pair)
-    if cuts is None:
-        return {"kappa": None, "status": "inconclusive"}
-    # an empty list, which only a faulty engine gives, reads as kappa' 0
-    kappa = min(map(len, cuts), default=0)
-    rec: dict = {"kappa": kappa,
-                 "subsets": math.comb(len(pair.product.edges), kappa)}
-    res = kappa_formula(g, h)
+def _cut_set_failure(pair: _Pair, res: FormulaResult, cuts, rec: dict
+                     ) -> Optional[tuple[object, object, dict[str, str]]]:
+    """The first way the listed cuts differ from Theorem 2's, as (expected,
+    observed, certificate cuts), or None; rec gets the verdict counts."""
+    h, kappa, exceptional_pair = pair.h, rec["kappa"], rec["exceptional_pair"]
     stars, lifts = _predicted_cuts(pair, res)
-    counts = {v.value: 0 for v in CutVerdict}
-    exceptional_pair = g == complete_graph(2) and is_exceptional_member(h) is not None
-    rec.update(exhaustive=True, cuts=len(cuts), exceptional_pair=exceptional_pair)
+    counts = rec["verdicts"] = {v.value: 0 for v in CutVerdict}
     for cut in cuts:
         if cut in stars:
             verdict = CutVerdict.VERTEX_STAR
@@ -388,42 +368,40 @@ def _check_theorem2(pair: _Pair) -> dict:
         else:
             observed = _unpredicted(pair, cut, kappa, exceptional_pair)
             if observed is not None:
-                rec["status"] = "mismatch"
-                rec["certificate"] = _certificate(
-                    pair, "theorem2", "predicted or exceptional", observed,
-                    cut=format_product_cut(cut, h.n),
-                )
-                rec["verdicts"] = counts
-                return rec
+                return ("predicted or exceptional", observed,
+                        {"cut": format_product_cut(cut, h.n)})
             verdict = CutVerdict.EXCEPTIONAL
         counts[verdict.value] += 1
-    rec["verdicts"] = counts
     missing = (stars | lifts).difference(cuts)
     if missing:
-        rec["status"] = "mismatch"
-        rec["certificate"] = _certificate(
-            pair, "theorem2", "every predicted cut", f"{len(missing)} missing",
-            missing=format_product_cut(min(missing, key=sorted), h.n),
-        )
-        return rec
-    if res.value != kappa:
-        # the sets can agree when the closed form is off in step with its bound
-        rec["status"] = "mismatch"
-        rec["certificate"] = _certificate(pair, "theorem2", res.value, kappa)
-        return rec
+        return ("every predicted cut", f"{len(missing)} missing",
+                {"missing": format_product_cut(min(missing, key=sorted), h.n)})
     if exceptional_pair:
         l = is_exceptional_member(h)
         if h == exceptional_member(l):
-            _, canonical = exceptional_cut(l)
-            rec["canonical_cut_seen"] = canonical in cuts
+            rec["canonical_cut_seen"] = exceptional_cut(l)[1] in cuts
         if counts[CutVerdict.EXCEPTIONAL.value] == 0:
-            rec["status"] = "mismatch"
-            rec["certificate"] = _certificate(
-                pair, "theorem2", "at least one exceptional cut", counts,
-            )
-            return rec
-    rec["status"] = "ok"
-    return rec
+            return "at least one exceptional cut", counts, {}
+    return None
+
+
+def _check_theorem2(pair: _Pair) -> dict:
+    g, h = pair.g, pair.h
+    cuts = _cached_enumeration(pair)
+    if cuts is None:
+        return _settle({"kappa": None}, pair, "theorem2", None, None)
+    # an empty list, which only a faulty engine gives, reads as kappa' 0
+    kappa = min(map(len, cuts), default=0)
+    rec: dict = {"kappa": kappa,
+                 "subsets": math.comb(len(pair.product.edges), kappa),
+                 "exhaustive": True, "cuts": len(cuts),
+                 "exceptional_pair": g == complete_graph(2)
+                 and is_exceptional_member(h) is not None}
+    # the closed form comes first: classify_min_cut measures cuts against it
+    res = kappa_formula(g, h)
+    failure = _cut_set_failure(pair, res, cuts, rec) if res.value == kappa else None
+    expected, observed, where = failure or (res.value, kappa, {})
+    return _settle(rec, pair, "theorem2", expected, observed, **where)
 
 
 def _check_corollary2(pair: _Pair) -> dict:
@@ -461,14 +439,9 @@ def _check_lemma2(pair: _Pair) -> dict:
         for t in rest:
             cut = min_st_cut(pair.product, s, t, limit=bound)
             if cut is not None:
-                rec["status"] = "mismatch"
-                rec["certificate"] = _certificate(
-                    pair, "lemma2", "fibers contained", "fiber split",
-                    cut=format_product_cut(cut.witness, h.n),
-                )
-                return rec
-    rec["status"] = "ok"
-    return rec
+                return _settle(rec, pair, "lemma2", "fibers contained", "fiber split",
+                               cut=format_product_cut(cut.witness, h.n))
+    return _settle(rec, pair, "lemma2", "fibers contained", "fibers contained")
 
 
 _CHECK_FUNCS = {

@@ -63,11 +63,10 @@ class BudgetExceeded(Exception):
 
 @dataclass(frozen=True)
 class MinCutResult:
-    """kappa' plus one witnessing minimum cut and its vertex bipartition."""
+    """kappa' plus one witnessing minimum cut."""
 
     value: int
     witness: frozenset[Edge]
-    partition: tuple[frozenset[int], frozenset[int]]
 
 
 @dataclass(frozen=True)
@@ -119,8 +118,9 @@ def min_st_cut(
 ) -> Optional[MinCutResult]:
     """A minimum s-t edge cut by unit-capacity max-flow (Menger's theorem).
 
-    Its value is the local edge connectivity lambda(s, t), and its first side
-    is what s still reaches in the final residual graph.  Returns None when
+    Its value is the local edge connectivity lambda(s, t), and its witness
+    the edges that leave what s still reaches in the final residual graph,
+    which is s's component once they are removed.  Returns None when
     the flow reaches ``limit``, that is when lambda(s, t) >= limit.
     """
     if not (0 <= s < g.n and 0 <= t < g.n) or s == t:
@@ -128,24 +128,16 @@ def min_st_cut(
     flow, reach, _ = _unit_max_flow(g, (s,), t, limit)
     if reach is None:
         return None
-    side = frozenset(reach)
-    witness = frozenset(e for e in g.edges if (e[0] in side) != (e[1] in side))
+    witness = frozenset(e for e in g.edges if (e[0] in reach) != (e[1] in reach))
     assert len(witness) == flow
-    return MinCutResult(flow, witness, (side, frozenset(range(g.n)) - side))
-
-
-def _component_cut(g: Graph, witness: frozenset[Edge]) -> MinCutResult:
-    """``witness`` with the component of vertex 0 in g minus it as one side."""
-    labels = Graph(g.n, g.edges - witness).component_labels()
-    side = frozenset(v for v in range(g.n) if labels[v] == labels[0])
-    return MinCutResult(len(witness), witness, (side, frozenset(range(g.n)) - side))
+    return MinCutResult(flow, witness)
 
 
 def _disconnected_cut(g: Graph) -> Optional[MinCutResult]:
     """The empty cut of a disconnected g; None when g is connected."""
     if g.n < 2:
         raise ValueError("edge connectivity requires at least two vertices")
-    return None if g.is_connected() else _component_cut(g, frozenset())
+    return None if g.is_connected() else MinCutResult(0, frozenset())
 
 
 def edge_connectivity(g: Graph) -> MinCutResult:
@@ -588,7 +580,8 @@ def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutRe
     trivial = _disconnected_cut(g)
     if trivial is not None:
         return trivial
-    return _component_cut(g, next(_first_level_hits(g, budget)))
+    witness = next(_first_level_hits(g, budget))
+    return MinCutResult(len(witness), witness)
 
 
 def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnumeration:

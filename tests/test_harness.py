@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import tensorcut
-from tensorcut import harness, mincut
+from tensorcut import dense, harness, mincut
 from tensorcut.catalog import is_isomorphic
 from tensorcut.dense import (
     CutClassificationError,
@@ -283,17 +283,19 @@ def test_weichsel_check_covers_bipartite_pairs():
 
 
 def test_inconclusive_exit_code():
-    # only the subset oracle has a budget to run out of, and under it theorem2
-    # reads the subset scan's cut list too
-    cfg = CampaignConfig(max_g_order=2, max_h_order=3, checks=("theorem1", "theorem2"),
+    # only the subset oracle has a budget to run out of; under it theorem1 and
+    # corollary1 read its kappa', and theorem2 and corollary2 its cut list
+    cfg = CampaignConfig(max_g_order=2, max_h_order=3,
+                         checks=("theorem1", "corollary1", "theorem2", "corollary2"),
                          oracle="subset", enumeration_budget=5)
     report = run_campaign(cfg)
-    assert [r["status"] for r in report.records] == ["inconclusive", "inconclusive"]
-    assert report.records[1]["kappa"] is None
-    assert report.summary["inconclusive"] == 2
+    assert [r["status"] for r in report.records] == ["inconclusive"] * 4
+    observed = ("oracle", "oracle", "kappa", "bruteforce")
+    assert [r[key] for r, key in zip(report.records, observed)] == [None] * 4
+    assert report.summary["inconclusive"] == 4
     assert report.exit_code == 2
     cfg = dataclasses.replace(cfg, oracle="maxflow")
-    assert [r["status"] for r in run_campaign(cfg).records] == ["ok", "ok"]
+    assert [r["status"] for r in run_campaign(cfg).records] == ["ok"] * 4
 
 
 def test_pairs_enumerate_once(monkeypatch):
@@ -518,6 +520,21 @@ def _last_cut_shrunk(real):
     return shrunk
 
 
+def _last_cut_off_graph(real):
+    # kappa' pairs with one non-edge, (0,0)-(0,1), among them: not a cut
+    def off_graph(g):
+        *cuts, last = real(g).cuts
+        return mincut.CutEnumeration((*cuts, last - {min(last)} | {(0, 1)}))
+    return off_graph
+
+
+def _stars_only(real):
+    def stars(g):
+        return mincut.CutEnumeration(
+            tuple(c for c in real(g).cuts if mincut.is_vertex_star(g, c) is not None))
+    return stars
+
+
 def _shifted_with_bounds(real):
     def wrong(*args):
         res = real(*args)
@@ -531,31 +548,63 @@ def _limit_too_high(real):
     return lambda g, s, t, limit=None: real(g, s, t, limit + 1)
 
 
-@pytest.mark.parametrize("check, binding, mutate, mismatches, instances", [
-    ("corollary1", "kappa_formula_kn", _off_by_one, 6, 6),
+# each case with the expected, observed and product cuts of the certificate
+# of its first mismatch; the others carry the same cut keys
+FAULTS = [
+    ("corollary1", "kappa_formula_kn", _off_by_one, 6, 6,
+     ({"formula": 3, "oracle": 3}, {"formula": 2, "oracle": 2}, {})),
     # an engine that drops a cut leaves a predicted cut missing
-    ("theorem2", "enumerate_min_cuts", _drop_last_cut, 6, 6),
+    ("theorem2", "enumerate_min_cuts", _drop_last_cut, 6, 6,
+     ("every predicted cut", "1 missing", {"missing": "0,2 1,0\n0,2 1,1"})),
+    # an engine that lists fewer than kappa' edges lowers kappa' below the
+    # closed form
+    ("theorem2", "enumerate_min_cuts", _last_cut_shrunk, 6, 6, (2, 1, {})),
     # an engine that lists a non-cut; on (K_2, K_3) it is vetted, not classified
-    ("theorem2", "enumerate_min_cuts", _last_cut_shrunk, 6, 6),
-    # a closed form that disagrees with kappa' is a mismatch, not an exception
-    ("theorem2", "kappa_formula", _off_by_one, 6, 6),
+    ("theorem2", "enumerate_min_cuts", _last_cut_off_graph, 6, 6,
+     ("predicted or exceptional", "not a minimum cut", {"cut": "0,0 0,1\n0,2 1,1"})),
+    # an engine that lists no exceptional cut on (K_2, K_3)
+    ("theorem2", "enumerate_min_cuts", _stars_only, 1, 6,
+     ("at least one exceptional cut",
+      {"vertex_star": 6, "induced_by_factor_cut": 0, "exceptional": 0}, {})),
+    # a closed form that disagrees with kappa' is a mismatch, not an exception,
+    # though classify_min_cut measures the cuts of (K_2, K_3) against it
+    ("theorem2", "kappa_formula", _off_by_one, 6, 6, (3, 2, {})),
     # shifted with its bounds, it predicts the right cuts but the wrong kappa'
-    ("theorem2", "kappa_formula", _shifted_with_bounds, 6, 6),
+    ("theorem2", "kappa_formula", _shifted_with_bounds, 6, 6, (3, 2, {})),
     # only the extras of the exceptional pair (K_2, K_3) are classified
-    ("theorem2", "classify_min_cut", _unclassifiable, 1, 6),
+    ("theorem2", "classify_min_cut", _unclassifiable, 1, 6,
+     ("predicted or exceptional", "unclassifiable", {"cut": "0,0 1,1\n0,1 1,0"})),
     # the excluded pair (K_2, K_3) raises before the negation and stays ok
-    ("corollary2", "is_super_edge_connected_kn", _negated, 5, 6),
-    ("weichsel", "product_connected", _negated, 45, 45),
+    ("corollary2", "is_super_edge_connected_kn", _negated, 5, 6, (False, True, {})),
+    ("weichsel", "product_connected", _negated, 45, 45, (True, False, {})),
     # a flow of exactly delta(G)delta(H) now passes for a cut below it
-    ("lemma2", "min_st_cut", _limit_too_high, 6, 6),
-])
+    ("lemma2", "min_st_cut", _limit_too_high, 6, 6,
+     ("fibers contained", "fiber split", {"cut": "0,0 1,1\n0,0 1,2"})),
+]
+
+
+@pytest.mark.parametrize(
+    "check, binding, mutate, mismatches, instances, first", FAULTS,
+    ids=[f"{c}-{b}-{m.__name__}-{k}-{n}" for c, b, m, k, n, _ in FAULTS])
 def test_injected_fault_is_certified(monkeypatch, check, binding, mutate,
-                                     mismatches, instances):
-    monkeypatch.setattr(harness, binding, mutate(getattr(harness, binding)))
+                                     mismatches, instances, first):
+    # the fault goes wherever the package binds the function, as a bug would
+    real = getattr(harness, binding)
+    wrong = mutate(real)
+    for module in (harness, dense):
+        if getattr(module, binding, None) is real:
+            monkeypatch.setattr(module, binding, wrong)
     report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4,
                                          checks=(check,)))
     assert len(report.records) == instances
     assert report.summary["mismatches"] == mismatches
+    assert report.exit_code == 1
     bad = [r for r in report.records if r["status"] == "mismatch"]
-    assert all(replay_certificate(r["certificate"])["reproduced"] for r in bad)
+    certs = [r["certificate"] for r in bad]
+    expected, observed, cuts = first
+    assert certs[0] == {"check": check, "g": bad[0]["g"], "h": bad[0]["h"],
+                        "oracle": "maxflow", "expected": expected,
+                        "observed": observed, **cuts}
+    assert all(cert.keys() == certs[0].keys() for cert in certs)
+    assert all(replay_certificate(cert)["reproduced"] for cert in certs)
     assert {r["status"] for r in report.records} <= {"ok", "mismatch"}

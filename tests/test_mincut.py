@@ -62,8 +62,7 @@ def test_min_st_cut_matches_networkx(g, data):
     assert cut.value == len(cut.witness) == nx.edge_connectivity(nxg, s, t)
     labels = remove_edges(g, cut.witness).component_labels()
     assert labels[s] != labels[t]
-    side, rest = cut.partition
-    assert s in side and t in rest and side | rest == set(range(g.n))
+    assert component_boundary(g, cut.witness, s) == cut.witness
     # the flow stops at the limit, and a limit above the value changes nothing
     assert min_st_cut(g, s, t, limit=cut.value) is None
     assert min_st_cut(g, s, t, limit=cut.value + 1) == cut
@@ -81,7 +80,6 @@ def test_edge_connectivity_trivial_and_disconnected():
     res = edge_connectivity(Graph(4, {(0, 1), (2, 3)}))
     assert res.value == 0
     assert res.witness == frozenset()
-    assert res.partition[0] == frozenset({0, 1})
 
 
 @settings(max_examples=60)
@@ -89,12 +87,7 @@ def test_edge_connectivity_trivial_and_disconnected():
 def test_witness_properties(g):
     res = edge_connectivity(g)
     assert len(res.witness) == res.value
-    side_a, side_b = res.partition
-    assert side_a and side_b
-    assert side_a | side_b == frozenset(range(g.n))
-    assert not side_a & side_b
-    boundary = {e for e in g.edges if (e[0] in side_a) != (e[1] in side_a)}
-    assert boundary == res.witness
+    assert component_boundary(g, res.witness) == res.witness
     assert not remove_edges(g, res.witness).is_connected()
     # Whitney bound
     assert res.value <= g.min_degree()
@@ -155,25 +148,26 @@ def _plain_scan(g, k):
             and not remove_edges(g, [order[i] for i in c]).is_connected())
 
 
-def _with_partition(g, witness):
-    """A cut and the partition it leaves, vertex 0's component first."""
+def component_boundary(g, witness, v=0):
+    """The edges that leave v's component in g minus ``witness``."""
     labels = remove_edges(g, witness).component_labels()
-    side = frozenset(v for v in range(g.n) if labels[v] == labels[0])
-    return witness, (side, frozenset(range(g.n)) - side)
+    return frozenset(e for e in g.edges
+                     if (labels[e[0]] == labels[v]) != (labels[e[1]] == labels[v]))
 
 
 def _expected(g):
     """kappa' of g, the plain scan's first hit, the least minimum cut by
-    sorted edge list (each with its partition) and the max-flow cut list."""
+    sorted edge list and the max-flow cut list."""
     value = edge_connectivity(g).value
     order, _ = mincut._scan_order(g)
     hit = frozenset(order[i] for i in next(_plain_scan(g, value)))
     cuts = enumerate_min_cuts(g)
-    return value, _with_partition(g, hit), _with_partition(g, cuts.cuts[0]), cuts
+    return value, hit, cuts.cuts[0], cuts
 
 
 def _edge_route_kappa(g, budget):
-    return mincut._component_cut(g, next(mincut._edge_level_hits(g, budget)))
+    witness = next(mincut._edge_level_hits(g, budget))
+    return mincut.MinCutResult(len(witness), witness)
 
 
 def _edge_route_cuts(g, budget):
@@ -195,7 +189,8 @@ def _check_budget_decision(g, budget, expected):
     oracles = (edge_connectivity_subset, enumerate_min_cuts_subset)
     if side_scan_fits(g, budget):
         res = edge_connectivity_subset(g, budget)
-        assert (res.value, res.witness, res.partition) == (value, *least), (g, budget)
+        assert (res.value, res.witness) == (value, least), (g, budget)
+        assert component_boundary(g, res.witness) == res.witness
         assert enumerate_min_cuts_subset(g, budget) == cuts, (g, budget)
         oracles = (_edge_route_kappa, _edge_route_cuts)
     stop, spent = budget_stop(g, budget)
@@ -206,7 +201,8 @@ def _check_budget_decision(g, budget, expected):
             assert str(exc.value) == f"subset search would test {spent} subsets (budget {budget})"
     else:
         res = oracles[0](g, budget)
-        assert (res.value, res.witness, res.partition) == (value, *hit), (g, budget)
+        assert (res.value, res.witness) == (value, hit), (g, budget)
+        assert component_boundary(g, res.witness) == res.witness
         assert oracles[1](g, budget) == cuts, (g, budget)
 
 
@@ -308,11 +304,11 @@ def _small_products():
 
 
 def test_subset_witness_is_the_first_hit():
-    # the edge route's witness and partition are those of the first
-    # tree-touching kappa'-subset, in lexicographic scan order, that
-    # disconnects, and its cut list is the max-flow one, at every budget that
-    # the plain rule lets it answer under; where the sides fit, the oracle's
-    # witness is the least minimum cut by sorted edge list
+    # the edge route's witness is the first tree-touching kappa'-subset, in
+    # lexicographic scan order, that disconnects, and its cut list is the
+    # max-flow one, at every budget that the plain rule lets it answer under;
+    # where the sides fit, the oracle's witness is the least minimum cut by
+    # sorted edge list
     for p, expected in _small_products():
         for budget in BUDGETS:
             _check_budget_decision(p, budget, expected)
