@@ -46,7 +46,7 @@ from .dense import (
     kappa_formula_kn,
 )
 from .graph6 import emit_graph6, load_graph6_file, parse_graph6
-from .graphs import Edge, Graph, complete_graph, edge, remove_edges
+from .graphs import Edge, Graph, complete_graph, edge
 from .mincut import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -333,21 +333,19 @@ def _predicted_cuts(pair: _Pair, res: FormulaResult
     return stars, lifts
 
 
-def _unpredicted(pair: _Pair, cut: frozenset[Edge], kappa: int,
-                 exceptional_pair: bool) -> Optional[str]:
+def _unpredicted(pair: _Pair, cut: frozenset[Edge], exceptional_pair: bool) -> Optional[str]:
     """Why an enumerated cut outside the predicted set fails theorem2, or
     None when it is an exceptional cut, which only (K_2, H_l) may have.
 
     ``classify_min_cut`` raises ValueError on an edge set that is not a
-    minimum cut, so the cut is vetted first and a non-cut is certified.
+    minimum cut, and that non-cut is certified.
     """
     if not exceptional_pair:
         return "unpredicted"
-    product = pair.product
-    if (len(cut) != kappa or not cut <= product.edges
-            or remove_edges(product, cut).is_connected()):
+    try:
+        verdict = _classify(pair, cut)
+    except ValueError:
         return "not a minimum cut"
-    verdict = _classify(pair, cut)
     if verdict is CutVerdict.EXCEPTIONAL:
         return None
     return "unclassifiable" if verdict is None else f"unpredicted {verdict.value}"
@@ -357,7 +355,7 @@ def _cut_set_failure(pair: _Pair, res: FormulaResult, cuts, rec: dict
                      ) -> Optional[tuple[object, object, dict[str, str]]]:
     """The first way the listed cuts differ from Theorem 2's, as (expected,
     observed, certificate cuts), or None; rec gets the verdict counts."""
-    h, kappa, exceptional_pair = pair.h, rec["kappa"], rec["exceptional_pair"]
+    h, exceptional_pair = pair.h, rec["exceptional_pair"]
     stars, lifts = _predicted_cuts(pair, res)
     counts = rec["verdicts"] = {v.value: 0 for v in CutVerdict}
     for cut in cuts:
@@ -366,7 +364,7 @@ def _cut_set_failure(pair: _Pair, res: FormulaResult, cuts, rec: dict
         elif cut in lifts:
             verdict = CutVerdict.INDUCED_BY_FACTOR_CUT
         else:
-            observed = _unpredicted(pair, cut, kappa, exceptional_pair)
+            observed = _unpredicted(pair, cut, exceptional_pair)
             if observed is not None:
                 return ("predicted or exceptional", observed,
                         {"cut": format_product_cut(cut, h.n)})

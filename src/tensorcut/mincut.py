@@ -1,24 +1,24 @@
 """Exact edge connectivity, exact enumeration of all minimum cuts, and a
 budgeted brute-force oracle for both.
 
-The exact routes run on unit-capacity max-flow: kappa' as the smallest
-minimum 0-t cut over the sinks t, and every minimum cut as a vertex set
-closed under the residual arcs of a max-flow (Picard and Queyranne, "On the
-structure of all minimum cuts in a network", 1980).  An edge-subset scan
-and a vertex-side scan are the oracle for both.  The first rests on two
-bounds from disjoint code.  The scan gives the upper bound: every k-subset
-is tested for disconnection, except subsets that touch no spanning-tree
-edge, which provably cannot disconnect.  A checked certificate gives the
-lower bound: a dominating set D of the graph, and edge-disjoint walks from
-its first vertex d0 to each other vertex of D, read off max-flows.  Both
-are verified against the graph alone (``_dominates``, ``_is_packing``).  By
-Menger's theorem and Matula's lemma (every cut with fewer than delta edges
-separates d0 from some other vertex of D; "Determining edge connectivity
-in O(nm)", 1987) they prove that no smaller subset disconnects, so those
-levels are not scanned, at the cost of |D| - 1 flows rather than n - 1.
-A faulty max-flow or dominating set fails the check and costs only time
-(the "certifying algorithms" pattern of McConnell, Mehlhorn, Naeher and
-Schweitzer, 2011).
+The exact routes share one loop of unit-capacity max-flows, from the block
+{0..t-1} to each sink t: kappa' is the least flow value, and every minimum
+cut a vertex set closed under the residual arcs of a flow that attains it
+(Picard and Queyranne, "On the structure of all minimum cuts in a network",
+1980).  An edge-subset scan and a vertex-side scan are the oracle for both.
+The first rests on two bounds from disjoint code.  The scan gives the upper
+bound: every k-subset is tested for disconnection, except subsets that
+touch no spanning-tree edge, which provably cannot disconnect.  A checked
+certificate gives the lower bound: a dominating set D of the graph, and
+edge-disjoint walks from its first vertex d0 to each other vertex of D,
+read off max-flows.  Both are verified against the graph alone
+(``_dominates``, ``_is_packing``).  By Menger's theorem and Matula's lemma
+(every cut with fewer than delta edges separates d0 from some other vertex
+of D; "Determining edge connectivity in O(nm)", 1987) they prove that no
+smaller subset disconnects, so those levels are not scanned, at the cost of
+|D| - 1 flows rather than n - 1.  A faulty max-flow or dominating set fails
+the check and costs only time (the "certifying algorithms" pattern of
+McConnell, Mehlhorn, Naeher and Schweitzer, 2011).
 
 The disconnection test runs on blocks of subsets at once, one subset per
 bit lane of Python ints: each edge has the mask of the lanes that keep it,
@@ -78,13 +78,13 @@ class CutEnumeration:
 
 def _unit_max_flow(
     g: Graph, sources: Iterable[int], t: int, limit: Optional[int] = None
-) -> tuple[int, Optional[set[int]], list[dict[int, int]]]:
+) -> tuple[int, Optional[int], list[dict[int, int]]]:
     """Edmonds-Karp with capacity 1 per direction on every edge, from the
     source set merged into one vertex to the sink t.
 
-    Returns (flow, source-side reachable set, residual capacities), where
-    ``cap[u][w] > 0`` is a residual arc u -> w.  When ``limit`` is given the
-    search aborts as soon as the flow reaches it and the reachable set is None.
+    Returns (flow, bitmask of what the sources reach in the residual graph,
+    residual capacities), where ``cap[u][w] > 0`` is a residual arc u -> w.
+    The search stops when the flow reaches ``limit``, and the reach is None.
     """
     n = g.n
     cap = [dict.fromkeys(g.neighbors(v), 1) for v in range(n)]
@@ -102,7 +102,7 @@ def _unit_max_flow(
                     parent[w] = u
                     queue.append(w)
         if parent[t] == -1:
-            return flow, {v for v in range(n) if parent[v] != -1}, cap
+            return flow, sum(1 << v for v in range(n) if parent[v] != -1), cap
         v = t
         while parent[v] != v:
             u = parent[v]
@@ -111,6 +111,11 @@ def _unit_max_flow(
             v = u
         flow += 1
     return flow, None, cap
+
+
+def _boundary(g: Graph, side: int) -> frozenset[Edge]:
+    """The edges of g with exactly one end in the bitmask ``side``."""
+    return frozenset(e for e in g.edges if (side >> e[0] & 1) != (side >> e[1] & 1))
 
 
 def min_st_cut(
@@ -128,7 +133,7 @@ def min_st_cut(
     flow, reach, _ = _unit_max_flow(g, (s,), t, limit)
     if reach is None:
         return None
-    witness = frozenset(e for e in g.edges if (e[0] in reach) != (e[1] in reach))
+    witness = _boundary(g, reach)
     assert len(witness) == flow
     return MinCutResult(flow, witness)
 
@@ -138,22 +143,6 @@ def _disconnected_cut(g: Graph) -> Optional[MinCutResult]:
     if g.n < 2:
         raise ValueError("edge connectivity requires at least two vertices")
     return None if g.is_connected() else MinCutResult(0, frozenset())
-
-
-def edge_connectivity(g: Graph) -> MinCutResult:
-    """Exact kappa' as the smallest minimum 0-t cut over the sinks t.
-
-    Ties between sinks break toward the smallest sink id, so the witness is
-    deterministic.  Disconnected graphs get value 0 with an empty witness.
-    """
-    trivial = _disconnected_cut(g)
-    if trivial is not None:
-        return trivial
-    best = min_st_cut(g, 0, 1)
-    assert best is not None
-    for t in range(2, g.n):
-        best = min_st_cut(g, 0, t, limit=best.value) or best
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +235,7 @@ def _certified_lower_bound(g: Graph, want: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration of all minimum cuts (Picard-Queyranne).
+# Exact kappa' and all minimum cuts by block flows (Picard-Queyranne).
 
 def _closure(start: int, arcs: list[int]) -> int:
     """The vertices reachable from the bitmask ``start`` along ``arcs``
@@ -271,8 +260,7 @@ def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int
     avoid the other side, so every branch ends in one such set.
     """
     n = len(cap)
-    succ = [0] * n
-    pred = [0] * n
+    succ, pred = [0] * n, [0] * n
     for u in range(n):
         for w, c in cap[u].items():
             if c > 0:
@@ -291,31 +279,56 @@ def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int
         stack.append((inside | _closure(v, succ), outside))
 
 
-def enumerate_min_cuts(g: Graph) -> CutEnumeration:
-    """All minimum edge cuts of a connected graph, exactly and without a budget.
-
-    A minimum cut is found once, at the smallest vertex t outside vertex 0's
-    side: it is then a minimum cut between the block {0..t-1} and t.  So for
-    t = 1..n-1 a max-flow runs from that block to t; kappa' is the least of
-    the flow values, and for each t that attains it the cuts are the residual
-    closed vertex sets between the block and t (Picard-Queyranne).
+def _block_flows(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int, list]]]:
+    """kappa' of a connected g with n >= 2, and each sink t whose max-flow
+    from the block {0..t-1} attains it, as (t, residual reach as a bitmask,
+    residual capacities).  A minimum cut delta(S), 0 in S, is a minimum
+    block-t cut at the least t outside S, so kappa' is the least flow.  A
+    flow stops once it passes the least value so far, to list every t that
+    attains kappa' (``ties``), or else once it reaches it, to list the least
+    t only; the first flows stop at delta + 1 (Whitney: kappa' <= delta).
     """
-    if g.n < 2 or not g.is_connected():
-        raise ValueError("minimum-cut enumeration requires a connected graph")
-    # kappa' <= delta (Whitney), and a flow that passes the least value so
-    # far stops at once: it cannot attain the minimum.
-    value, attained = g.min_degree(), []
+    value, attained = g.min_degree() + 1 - ties, []
     for t in range(1, g.n):
-        flow, reach, cap = _unit_max_flow(g, range(t), t, limit=value + 1)
+        flow, reach, cap = _unit_max_flow(g, range(t), t, limit=value + ties)
         if reach is None:
             continue
         if flow < value:
             value, attained = flow, []
-        attained.append((t, cap))
+        attained.append((t, reach, cap))
+    return value, attained
+
+
+def edge_connectivity(g: Graph) -> MinCutResult:
+    """Exact kappa', the first half of ``enumerate_min_cuts``: the least t
+    whose block flow attains kappa', witnessed by the cut around that flow's
+    residual reach, the minimal source side.  Disconnected graphs get value
+    0 with an empty witness.
+
+    That t is the least vertex outside S over the minimum cuts delta(S) with
+    0 in S, so every minimum 0-t cut holds the block: the minimum 0-t and
+    block-t cuts are one family, with the same minimal side.
+    """
+    trivial = _disconnected_cut(g)
+    if trivial is not None:
+        return trivial
+    value, [(_, reach, _)] = _block_flows(g, ties=False)
+    return MinCutResult(value, _boundary(g, reach))
+
+
+def enumerate_min_cuts(g: Graph) -> CutEnumeration:
+    """All minimum edge cuts of a connected graph, exactly and without a
+    budget: for each t that attains kappa' in ``_block_flows``, the residual
+    closed vertex sets between the block {0..t-1} and t (Picard-Queyranne).
+    Each cut is found once, at the least vertex outside vertex 0's side.
+    """
+    if g.n < 2 or not g.is_connected():
+        raise ValueError("minimum-cut enumeration requires a connected graph")
+    value, attained = _block_flows(g, ties=True)
     cuts = []
-    for t, cap in attained:
+    for t, _, cap in attained:
         for side in _closed_sides(cap, (1 << t) - 1, t):
-            cut = frozenset(e for e in g.edges if (side >> e[0] & 1) != (side >> e[1] & 1))
+            cut = _boundary(g, side)
             assert len(cut) == value
             cuts.append(cut)
     return CutEnumeration(tuple(sorted(cuts, key=sorted)))
@@ -324,28 +337,21 @@ def enumerate_min_cuts(g: Graph) -> CutEnumeration:
 # ---------------------------------------------------------------------------
 # Exhaustive subset scanning.
 
-def _scan_order(g: Graph) -> tuple[list[Edge], int]:
-    """Edges with a BFS spanning forest first; returns (order, forest size).
+def _scan_order(g: Graph) -> tuple[list[Edge], list[int]]:
+    """The edges of a connected g, the n - 1 edges of a BFS spanning tree
+    from vertex 0 first, and the vertices in that BFS order.
 
-    Subsets disjoint from the forest leave it intact and cannot disconnect,
+    Subsets disjoint from the tree leave it intact and cannot disconnect,
     and in lexicographic combination order they form a contiguous tail.
     """
-    seen = [False] * g.n
-    forest: list[Edge] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    forest.append(edge(u, w))
-                    queue.append(w)
-    rest = sorted(g.edges - set(forest))
-    return forest + rest, len(forest)
+    bfs, tree, seen = [0], [], {0}
+    for u in bfs:
+        for w in g.neighbors(u):
+            if w not in seen:
+                seen.add(w)
+                bfs.append(w)
+                tree.append(edge(u, w))
+    return tree + sorted(g.edges - set(tree)), bfs
 
 
 def _lane_masks(m: int, t: int) -> list[int]:
@@ -381,17 +387,18 @@ def _sweep(adj: list[list[tuple[int, int]]], reach: list[int], vertices: Iterabl
 
 
 def _disconnecting_subsets(
-    g: Graph, k: int, order: list[Edge], tree_size: int
+    g: Graph, k: int, order: list[Edge], bfs: list[int]
 ) -> Iterator[tuple[int, ...]]:
-    """Yield index k-subsets of ``order`` whose removal disconnects g, in
-    lexicographic order, skipping those that touch no spanning-tree edge.
+    """Yield index k-subsets of ``order`` whose removal disconnects the
+    connected g, in lexicographic order, skipping those that touch none of
+    its first n - 1 edges, a spanning tree (``_scan_order``).
 
     A block holds every k-subset with the same first k - t indices, one per
     bit lane of Python ints, the last t indices in lexicographic order: t =
     min(k - 1, 3), or 1 for k = 1, lowered while m**t exceeds
     ``_LANE_BOUND``.  Each edge gets the mask of the lanes that keep it, and
     each vertex the mask of the lanes where vertex 0 reaches it.  One sweep
-    visits the vertices in the BFS order of g from vertex 0; a block whose
+    visits the vertices in ``bfs``, a BFS order from vertex 0; a block whose
     lanes then all reach every vertex is connected, since reach never holds
     a vertex that vertex 0 cannot reach.  Otherwise the sweeps go alternately
     down and up the vertex numbers until one adds nothing, and the lanes
@@ -399,7 +406,7 @@ def _disconnecting_subsets(
     """
     if k == 0:
         return
-    n, m = g.n, len(order)
+    n, m, tree_size = g.n, len(order), g.n - 1
     t = 1 if k == 1 else min(k - 1, 3)
     while t > 1 and m ** t > _LANE_BOUND:
         t -= 1
@@ -409,13 +416,6 @@ def _disconnecting_subsets(
     for j, (u, v) in enumerate(order):
         incident[u].append((v, j))
         incident[v].append((u, j))
-    bfs = [0]  # the first sweep's order
-    seen = {0}
-    for u in bfs:
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                bfs.append(w)
     down = range(n - 1, -1, -1)
 
     if k == 1:
@@ -459,7 +459,7 @@ def _edge_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
     scanned, so a faulty max-flow can cost time but cannot change an answer
     or a budget decision.
     """
-    order, tree_size = _scan_order(g)
+    order, bfs = _scan_order(g)
     m = len(order)
     spent, stop = 1, g.min_degree()
     for k in range(1, stop + 1):
@@ -472,7 +472,7 @@ def _edge_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
             raise BudgetExceeded(
                 f"subset search would test {spent} subsets (budget {budget})"
             )
-        hits = _disconnecting_subsets(g, k, order, tree_size)
+        hits = _disconnecting_subsets(g, k, order, bfs)
         for first in hits:
             return (frozenset(order[i] for i in combo) for combo in chain((first,), hits))
     raise AssertionError("removing a minimum-degree star must disconnect")
@@ -546,9 +546,7 @@ def _side_scan_cuts(g: Graph) -> list[frozenset[Edge]]:
             state += (best - least) * ones
             best, sides = least, []
         sides.extend(side for value, side in found if value == best)
-    cuts = (frozenset(e for e in g.edges if (side >> e[0] & 1) != (side >> e[1] & 1))
-            for side in sides)
-    return sorted(cuts, key=sorted)
+    return sorted((_boundary(g, side) for side in sides), key=sorted)
 
 
 def _first_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:

@@ -141,10 +141,12 @@ def over_budget(g, budget, value):
 
 def _plain_scan(g, k):
     """The subset scan done plainly: every tree-touching k-subset of the scan
-    order, in lexicographic order, that disconnects g."""
-    order, tree_size = mincut._scan_order(g)
+    order, in lexicographic order, that disconnects g.  The tree is the
+    first n - 1 edges of the order, and it must span g."""
+    order, _ = mincut._scan_order(g)
+    assert Graph(g.n, order[:g.n - 1]).is_connected()
     return (c for c in combinations(range(len(order)), k)
-            if c[0] < tree_size
+            if c[0] < g.n - 1
             and not remove_edges(g, [order[i] for i in c]).is_connected())
 
 
@@ -242,8 +244,8 @@ def test_oracle_runs_the_smaller_scan(monkeypatch):
 
 
 def _kernel_disconnecting(g, k):
-    order, tree_size = mincut._scan_order(g)
-    return list(mincut._disconnecting_subsets(g, k, order, tree_size))
+    order, bfs = mincut._scan_order(g)
+    return list(mincut._disconnecting_subsets(g, k, order, bfs))
 
 
 @pytest.mark.parametrize("lane_bound, tails", [(1, {1}), (100, {1, 2}),
@@ -411,7 +413,7 @@ def test_cut_list_needs_no_max_flow_kappa(monkeypatch):
     def no_flow(*args, **kwargs):
         raise AssertionError("max-flow kappa' called")
 
-    for name in ("edge_connectivity", "enumerate_min_cuts", "min_st_cut"):
+    for name in ("edge_connectivity", "enumerate_min_cuts", "min_st_cut", "_block_flows"):
         monkeypatch.setattr(mincut, name, no_flow)
     assert [(enumerate_min_cuts_subset(g), is_super_edge_connected(g))
             for g in graphs] == want
@@ -428,6 +430,26 @@ def _desk_products():
     dense = [h for n in (3, 4, 5) for h in all_graphs(n) if dense_precondition(h)]
     return [direct_product(g, h)
             for g in (g for n in range(2, 6) for g in connected_graphs(n)) for h in dense]
+
+
+def _sink_loop(g):
+    """kappa' by minimum 0-t cuts over the sinks t, each flow stopped at the
+    least value so far: the first t that attains kappa' gives the witness."""
+    best = min_st_cut(g, 0, 1)
+    for t in range(2, g.n):
+        best = min_st_cut(g, 0, t, limit=best.value) or best
+    return best
+
+
+def test_block_flow_witness_is_the_sink_loop_one():
+    # the least t whose block flow attains kappa' is the least t whose 0-t
+    # flow does, and every minimum 0-t cut there holds the block {0..t-1}:
+    # the same value and witness on every connected graph on 2..7 vertices
+    # and every desk product
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)] + _desk_products()
+    assert len(graphs) == 1145
+    for g in graphs:
+        assert edge_connectivity(g) == _sink_loop(g), g
 
 
 def test_certified_lower_bound_is_exact_with_one_flow_per_extra_dominator(monkeypatch):

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +34,20 @@ def test_checks_list_drops_empty_items(tmp_path):
                       "--max-h-order", "3", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "verification_report.jsonl").exists()
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer wraps package functions by (module, name), and a
+    # name that is gone breaks its per-layer run; the tracer is loaded from
+    # its file, unchanged, and needs only the standard library
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    import tensorcut  # noqa: F401  loads every module the tracer names
+
+    missing = [(module, name) for module, name in [*tracer.TRACED, tracer.CHECK_TABLE]
+               if not hasattr(sys.modules.get(module), name)]
+    assert missing == []
+    module, name = tracer.CHECK_TABLE
+    assert set(getattr(sys.modules[module], name)) == set(tracer.CHECK_NAMES)
