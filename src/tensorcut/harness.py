@@ -228,9 +228,17 @@ class _Pair:
 
     @cached_property
     def oracle_kappa(self) -> Optional[int]:
-        """kappa'(G x H) by the configured oracle; None when over budget."""
+        """kappa'(G x H) by the configured oracle; None when over budget.
+
+        A subset campaign that also lists cuts (theorem2, corollary2) reads
+        it off the cut list, so the pair runs one brute-force search; else
+        the search stops at its first hit.
+        """
         if self.config.oracle == "maxflow":
             return edge_connectivity(self.product).value
+        if {"theorem2", "corollary2"} & set(self.config.checks):
+            cuts = self.cuts
+            return None if cuts is None else min(map(len, cuts), default=0)
         try:
             return edge_connectivity_subset(
                 self.product, self.config.enumeration_budget).value

@@ -28,14 +28,18 @@ most blocks as connected; the rest sweep until their reach stops changing.
 
 A dense graph has a large kappa', and the edge scan's levels grow as
 C(|E|, kappa').  The side scan's cost does not depend on kappa': every
-minimum cut is delta(S) for one vertex set S that holds vertex 0, and it
-tests all 2**(n-1) of them, reading only degrees and adjacency masks.
-``_first_level_hits`` runs whichever of the two is smaller under the
-budget, so kappa' is the least side value or the first level with a
-disconnecting subset; ``edge_connectivity_subset`` takes the first cut it
-yields and ``enumerate_min_cuts_subset`` all of them.  Over budget, they
-and ``is_super_edge_connected`` raise BudgetExceeded instead of answering
-from a partial scan.  The max-flow routes need no budget.
+minimum cut is delta(S) for one vertex set S that holds vertex 0.  Two
+vertices with more than delta edge-disjoint short paths between them, the
+edge uv and one path through each common neighbour, lie on one side of
+every minimum cut, so S is a union of these inseparable groups
+(``_inseparable_groups``), and the scan tests all 2**(groups-1) such
+unions, reading only degrees and adjacency masks.  ``_first_level_hits``
+runs whichever of the two is smaller under the budget, so kappa' is the
+least side value or the first level with a disconnecting subset;
+``edge_connectivity_subset`` takes the first cut it yields and
+``enumerate_min_cuts_subset`` all of them.  Over budget, they and
+``is_super_edge_connected`` raise BudgetExceeded instead of answering from
+a partial scan.  The max-flow routes need no budget.
 """
 
 from __future__ import annotations
@@ -481,52 +485,94 @@ def _edge_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
 # ---------------------------------------------------------------------------
 # Exhaustive side scanning, and the choice between the two scans.
 
-def _side_scan_cuts(g: Graph) -> list[frozenset[Edge]]:
-    """Every minimum cut of a connected g with n >= 2, by a scan of the
-    2**(n-1) - 1 proper vertex sets S that hold vertex 0, as sorted by
-    ``sorted``.
+def _inseparable_groups(g: Graph) -> list[int]:
+    """Vertex groups, as bitmasks in order of their least vertex, that no
+    minimum cut of g splits: u and v share a group when [uv in E] + |N(u) &
+    N(v)| > delta(g), closed transitively.
 
-    A minimum cut leaves two components, so it is delta(S) for exactly one
-    such S, and |delta(S)| = sum of deg v over S - 2 e(S); kappa' is the
-    least value.  The low vertices 0..l-1 are split off: each side A of
-    them that holds vertex 0 is a lane, a fixed-width field of one int, and
-    the tables of sum deg - 2 e(A) and of |N(v) & A| are built over the
-    lanes by doubling, one low vertex at a time.  The high vertices then
-    join and leave B in Gray-code order, each move updating every lane's
-    |delta(A | B)| at once.  The fields are offset by the least value so
-    far, with a guard bit on top, so one mask test finds the lanes at or
-    below it.  The scan reads only degrees and adjacency masks.
+    The edge uv and one path through each common neighbour are edge-disjoint
+    u-v paths, so every cut that separates u from v has more than delta >=
+    kappa' edges (a contraction test in the style of Padberg and Rinaldi, "An
+    efficient algorithm for the minimum capacity cut problem", 1990).  Reads
+    only degrees and adjacency masks.
     """
-    n, adj = g.n, g.adjacency_masks
-    deg = [a.bit_count() for a in adj]
+    adj, delta = g.adjacency_masks, g.min_degree()
+    root = list(range(g.n))  # union-find, each root the least vertex of its group
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (adj[u] >> v & 1) + (adj[u] & adj[v]).bit_count() > delta:
+                a, b = find(u), find(v)
+                root[max(a, b)] = min(a, b)
+    groups: dict[int, int] = {}
+    for v in range(g.n):
+        r = find(v)
+        groups[r] = groups.get(r, 0) | 1 << v
+    return list(groups.values())
+
+
+def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
+    """Every minimum cut of a connected g with n >= 2, by a scan of the
+    2**(k-1) - 1 proper unions S of the k ``groups`` (``_inseparable_groups``)
+    that hold vertex 0, as sorted by ``sorted``.
+
+    No minimum cut splits a group, and a minimum cut leaves two components,
+    so it is delta(S) for exactly one such S.  Each group is a weighted
+    element: its degree is |delta(group)|, the weight between two groups the
+    number of edges between them, and |delta(S)| = sum of the degrees over S
+    - 2 * the weight inside S; kappa' is the least value.  The low groups
+    0..l-1 are split off: each union A of them that holds group 0 is a lane,
+    a fixed-width field of one int, and the tables of |delta(A)| and of each
+    group's weight to A are built over the lanes by doubling, one low group
+    at a time.  The high groups then join and leave B in Gray-code order,
+    each move updating every lane's |delta(A | B)| at once, from one popcount
+    per member of the group that moves.  The fields are offset by the least
+    value so far, with a guard bit on top, so one mask test finds the lanes
+    at or below it; each such lane is mapped back to its vertex set.  With
+    singleton groups this is the scan of all 2**(n-1) - 1 vertex sides.
+    """
+    n, adj, k = g.n, g.adjacency_masks, len(groups)
+    # per group, each member's neighbours outside the group
+    outside = [tuple(adj[v] & ~grp for v in range(n) if grp >> v & 1) for grp in groups]
+    deg = [sum(a.bit_count() for a in out) for out in outside]
+    weight = [[sum((a & other).bit_count() for a in out) for other in groups]
+              for out in outside]
     width = len(g.edges).bit_length() + 1  # cut sizes <= |E| below a guard bit
-    low = min(n, n // 2 + 2)
+    low = min(k, k // 2 + 2)
     ones, lanes = 1, 1
-    cut = deg[0]  # per lane: |delta(A)|, A = {0} first
-    nbrs = [a & 1 for a in adj]  # per vertex, per lane: |N(v) & A|
+    cut = deg[0]  # per lane: |delta(A)|, A = group 0 first
+    nbrs = [w[0] for w in weight]  # per group, per lane: its weight to A
     for j in range(1, low):
         shift = width * lanes
         cut |= (cut + deg[j] * ones - 2 * nbrs[j]) << shift
-        for v in range(j + 1, n):
-            nbrs[v] |= (nbrs[v] + (adj[v] >> j & 1) * ones) << shift
+        for v in range(j + 1, k):
+            nbrs[v] |= (nbrs[v] + weight[v][j] * ones) << shift
         ones |= ones << shift
         lanes *= 2
     half, field = 1 << (width - 1), (1 << width) - 1
     guard = half * ones
-    join = {b: deg[b] * ones - 2 * nbrs[b] for b in range(low, n)}
-    twice = [2 * k * ones for k in range(max(deg) + 1)]
+    join = {b: deg[b] * ones - 2 * nbrs[b] for b in range(low, k)}
+    twice = [2 * c * ones for c in range(max(deg) + 1)]
     everything = (1 << n) - 1
     # A field of ``state`` holds |delta(A | B)| + half - best - 1, so its
     # guard bit is clear exactly where the cut is at most ``best``.
     best = g.min_degree()
     state = cut + guard - (best + 1) * ones
     high, sides = 0, []
-    for step in range(1 << (n - low)):
+    for step in range(1 << (k - low)):
         if step:
             b = low + (step & -step).bit_length() - 1
-            move = join[b] - twice[(adj[b] & high).bit_count()]
-            high ^= 1 << b
-            state += move if high >> b & 1 else -move
+            count = 0
+            for a in outside[b]:
+                count += (a & high).bit_count()
+            move = join[b] - twice[count]
+            high ^= groups[b]
+            state += move if high & groups[b] else -move
         if state & guard == guard:
             continue
         found = []
@@ -535,7 +581,10 @@ def _side_scan_cuts(g: Graph) -> list[frozenset[Edge]]:
             top = clear.bit_length() - 1
             clear ^= 1 << top
             lane = top // width
-            side = 1 | lane << 1 | high
+            side = groups[0] | high
+            for j in range(1, low):
+                if lane >> (j - 1) & 1:
+                    side |= groups[j]
             if side != everything:
                 value = (state >> lane * width & field) + best + 1 - half
                 found.append((value, side))
@@ -553,19 +602,21 @@ def _first_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
     """The minimum cuts of a connected g with n >= 2, by whichever
     exhaustive scan is smaller.
 
-    The side scan (``_side_scan_cuts``) tests 2**(n-1) vertex sides, the
-    level search (``_edge_level_hits``) at most the sum of C(|E|, k) over k
-    <= delta edge subsets.  The side scan runs when its count fits both the
-    budget and that sum, and yields the cuts sorted by ``sorted``; the
-    level search runs otherwise, under its own budget rule, and yields them
-    in lexicographic scan order.  So an answer depends only on the graph
-    and the budget, and BudgetExceeded is raised only when 2**(n-1) is
-    over the budget too.
+    The side scan (``_side_scan_cuts``) tests 2**(k-1) unions of the k
+    inseparable groups (``_inseparable_groups``), the level search
+    (``_edge_level_hits``) at most the sum of C(|E|, j) over j <= delta edge
+    subsets.  The side scan runs when its count fits both the budget and
+    that sum, and yields the cuts sorted by ``sorted``; the level search
+    runs otherwise, under its own budget rule, and yields them in
+    lexicographic scan order.  So an answer depends only on the graph and
+    the budget, and BudgetExceeded is raised only when 2**(k-1) is over the
+    budget too.
     """
-    sides = 1 << (g.n - 1)
+    groups = _inseparable_groups(g)
+    sides = 1 << (len(groups) - 1)
     if sides <= budget and sides <= sum(
             math.comb(len(g.edges), k) for k in range(g.min_degree() + 1)):
-        return iter(_side_scan_cuts(g))
+        return iter(_side_scan_cuts(g, groups))
     return _edge_level_hits(g, budget)
 
 

@@ -121,6 +121,15 @@ def test_super_brute_over_budget(g6_files, capsys):
     assert code == 0 and "bruteforce" not in payload
 
 
+def test_super_brute_settles_k4_plus_pendant(g6_files, capsys):
+    # K_4 plus a pendant vertex times K_5 has 25 vertices; 2**24 sides are
+    # over the default budget, but its inseparable groups are fewer
+    path = g6_files("k4pendant.g6", parse_graph6("D~C"))
+    code, payload = run_json(capsys, ["super", path, "5", "--brute"])
+    assert code == 0
+    assert payload["bruteforce"] is True
+
+
 @pytest.mark.parametrize("graph, binding", [
     (cycle_graph(4), "is_super_edge_connected_kn"),
     # the excluded pair raises before the criterion's negation could act, so

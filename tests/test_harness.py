@@ -43,7 +43,7 @@ from tensorcut.product import (
     parse_product_cut,
 )
 from test_dense import bridged
-from test_mincut import over_budget
+from test_mincut import group_count, over_budget
 
 
 def strip_ms(records):
@@ -460,7 +460,27 @@ def test_subset_oracle_campaign_follows_the_budget_rule():
             assert rec["status"] == "inconclusive" and rec["oracle"] is None, rec
         else:
             assert rec == want
-    assert Counter(r["status"] for r in brute) == {"ok": 33, "inconclusive": 12}
+    assert Counter(r["status"] for r in brute) == {"ok": 41, "inconclusive": 4}
+
+
+def test_desk_wide_subset_campaign_settles_all_but_the_unmerged_products():
+    # theorem1, corollary1, theorem2 and corollary2 by subset scan at the
+    # default budget on the desk corpus, G 2..5 x dense H 3..5: only the
+    # 25-vertex products with no merged group, whose 2**24 sides are over
+    # budget, stay inconclusive, and every settled record equals the max-flow
+    # campaign's
+    cfg = CampaignConfig(max_g_order=5, max_h_order=5,
+                         checks=("theorem1", "corollary1", "theorem2", "corollary2"))
+    exact = strip_ms(run_campaign(cfg).records)
+    brute = strip_ms(run_campaign(dataclasses.replace(cfg, oracle="subset")).records)
+    assert len(brute) == len(exact) == 480
+    assert Counter(r["status"] for r in brute) == {"ok": 456, "inconclusive": 24}
+    for rec, want in zip(brute, exact):
+        p = direct_product(parse_graph6(rec["g"]), parse_graph6(rec["h"]))
+        if (p.n, group_count(p)) == (25, 25):
+            assert rec["status"] == "inconclusive", rec
+        else:
+            assert rec == want
 
 
 def test_subset_oracle_lists_the_cuts_of_theorem2_and_corollary2():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -123,20 +124,36 @@ def budget_stop(g, budget):
     return None, spent
 
 
+def group_count(g):
+    """The number of inseparable vertex groups of g, counted plainly: u and v
+    are joined when [uv in E] + |N(u) & N(v)| > delta, and the groups are
+    the classes of that relation closed transitively."""
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    groups = [{v} for v in range(g.n)]
+    for u, v in combinations(range(g.n), 2):
+        if (v in nbrs[u]) + len(nbrs[u] & nbrs[v]) > g.min_degree():
+            a, b = (next(s for s in groups if x in s) for x in (u, v))
+            if a is not b:
+                a |= b
+                groups.remove(b)
+    return len(groups)
+
+
 def side_scan_fits(g, budget):
-    """The subset oracle's choice of route: it scans the 2**(n-1) vertex sides
-    when they fit the budget and the edge route's worst-case count."""
-    sides = 2 ** (g.n - 1)
+    """The subset oracle's choice of route: it scans the 2**(groups-1) unions
+    of inseparable groups when they fit the budget and the edge route's
+    worst-case count."""
+    sides = 2 ** (group_count(g) - 1)
     return sides <= budget and sides <= sum(
         math.comb(len(g.edges), k) for k in range(g.min_degree() + 1))
 
 
 def over_budget(g, budget, value):
     """Whether the subset oracle raises BudgetExceeded on g, of kappa'
-    ``value``: the sides do not fit the budget and the plain rule's level
-    is at most kappa'."""
+    ``value``: the unions of groups do not fit the budget and the plain
+    rule's level is at most kappa'."""
     stop, _ = budget_stop(g, budget)
-    return 2 ** (g.n - 1) > budget and stop is not None and stop <= value
+    return 2 ** (group_count(g) - 1) > budget and stop is not None and stop <= value
 
 
 def _plain_scan(g, k):
@@ -225,21 +242,23 @@ def test_subset_search_budget():
 
 
 def test_oracle_runs_the_smaller_scan(monkeypatch):
-    # the side scan runs exactly when its 2**(n-1) sides fit both the budget
-    # and the edge route's count up to level delta, on every connected graph
-    # on 2..7 vertices at the edges of both bounds
+    # the side scan runs exactly when its 2**(groups-1) unions of inseparable
+    # groups fit both the budget and the edge route's count up to level
+    # delta, on every connected graph on 2..7 vertices at the edges of both
+    # bounds
     ran = []
-    monkeypatch.setattr(mincut, "_side_scan_cuts", lambda g: ran.append("side") or [])
+    monkeypatch.setattr(mincut, "_side_scan_cuts", lambda g, groups: ran.append("side") or [])
     monkeypatch.setattr(mincut, "_edge_level_hits", lambda g, b: ran.append("edge") or iter(()))
     routes = set()
     for g in (g for n in range(2, 8) for g in connected_graphs(n)):
         count = sum(math.comb(len(g.edges), k) for k in range(g.min_degree() + 1))
-        for budget in {*BUDGETS, 2 ** (g.n - 1) - 1, 2 ** (g.n - 1), count - 1, count}:
+        sides = 2 ** (group_count(g) - 1)
+        for budget in {*BUDGETS, sides - 1, sides, count - 1, count}:
             ran.clear()
             mincut._first_level_hits(g, budget)
             want = "side" if side_scan_fits(g, budget) else "edge"
             assert ran == [want], (g, budget)
-            routes.add((want, 2 ** (g.n - 1) <= budget))
+            routes.add((want, sides <= budget))
     assert routes == {("side", True), ("edge", True), ("edge", False)}
 
 
@@ -574,14 +593,43 @@ def test_enumeration_matches_subset_scan_on_small_graphs():
         assert enumerate_min_cuts(g) == enumerate_min_cuts_subset(g), g
 
 
+@functools.cache
+def _catalog_and_desk_cuts():
+    """Every connected graph on 2..7 vertices (995) and every desk product
+    (150), each with its inseparable groups and its max-flow cut list."""
+    graphs = [g for n in range(2, 8) for g in connected_graphs(n)] + _desk_products()
+    return [(g, mincut._inseparable_groups(g), enumerate_min_cuts(g).cuts) for g in graphs]
+
+
+def test_no_minimum_cut_splits_a_group():
+    # the groups partition the vertices in order of their least vertex, as
+    # many as the plain count gives, and each max-flow minimum cut leaves
+    # every group whole on one side; 875 of the 995 catalog graphs merge
+    cases = _catalog_and_desk_cuts()
+    assert len(cases) == 1145
+    for g, groups, cuts in cases:
+        assert sum(groups) == (1 << g.n) - 1 and len(groups) == group_count(g), g
+        assert groups == sorted(groups, key=lambda grp: grp & -grp), g
+        for cut in cuts:
+            side = remove_edges(g, cut).component_labels()
+            for grp in groups:
+                assert len({side[v] for v in range(g.n) if grp >> v & 1}) == 1, (g, cut)
+    assert sum(len(groups) < g.n for g, groups, _ in cases[:995]) == 875
+
+
 def test_side_scan_matches_max_flow_enumeration():
-    # every connected graph on 2..7 vertices (995 graphs) and every desk
-    # product with at most 20 vertices (87): the same cuts in the same order
-    graphs = [g for n in range(2, 8) for g in connected_graphs(n)]
-    small = [p for p in _desk_products() if p.n <= 20]
-    assert (len(graphs), len(small)) == (995, 87)
-    for g in graphs + small:
-        assert mincut._side_scan_cuts(g) == list(enumerate_min_cuts(g).cuts), g
+    # the scan over unions of groups: the same cuts in the same order as the
+    # max-flow enumeration on the 995 catalog graphs and the 150 desk products
+    for g, groups, cuts in _catalog_and_desk_cuts():
+        assert mincut._side_scan_cuts(g, groups) == list(cuts), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs_st(max_n=12))
+def test_grouped_side_scan_matches_max_flow_enumeration(g):
+    groups = mincut._inseparable_groups(g)
+    assert len(groups) == group_count(g)
+    assert mincut._side_scan_cuts(g, groups) == list(enumerate_min_cuts(g).cuts)
 
 
 def test_enumeration_matches_subset_scan_on_products():
