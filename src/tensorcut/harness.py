@@ -51,7 +51,6 @@ from .mincut import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     edge_connectivity,
-    edge_connectivity_subset,
     enumerate_min_cuts,
     enumerate_min_cuts_subset,
     is_vertex_star,
@@ -230,20 +229,15 @@ class _Pair:
     def oracle_kappa(self) -> Optional[int]:
         """kappa'(G x H) by the configured oracle; None when over budget.
 
-        A subset campaign that also lists cuts (theorem2, corollary2) reads
-        it off the cut list, so the pair runs one brute-force search; else
-        the search stops at its first hit.
+        The subset oracle reads it off the cut list, so a pair runs one
+        brute-force search whatever its checks.
         """
         if self.config.oracle == "maxflow":
             return edge_connectivity(self.product).value
-        if {"theorem2", "corollary2"} & set(self.config.checks):
-            cuts = self.cuts
-            return None if cuts is None else min(map(len, cuts), default=0)
-        try:
-            return edge_connectivity_subset(
-                self.product, self.config.enumeration_budget).value
-        except BudgetExceeded:
-            return None
+        if not self.product.is_connected():
+            return 0  # the empty cut; a cut list needs a connected product
+        cuts = _cached_enumeration(self)
+        return None if cuts is None else min(map(len, cuts), default=0)
 
     @cached_property
     def cuts(self) -> Optional[tuple[frozenset[Edge], ...]]:
@@ -260,7 +254,8 @@ class _Pair:
 
 def _cached_enumeration(pair: _Pair) -> Optional[tuple[frozenset[Edge], ...]]:
     """The pair's minimum cuts, enumerated by the first check that asks.  The
-    checks read them only here, so a profiler can wrap this one function."""
+    checks, and the subset oracle's kappa', read them only here, so a
+    profiler can wrap this one function."""
     return pair.cuts
 
 

@@ -20,7 +20,7 @@ from tensorcut.dense import (
     kappa_formula,
 )
 from tensorcut.graph6 import emit_graph6, parse_graph6
-from tensorcut.graphs import complete_graph, path_graph
+from tensorcut.graphs import complete_graph, disjoint_union, path_graph
 from tensorcut.harness import (
     CHECK_NAMES,
     CampaignConfig,
@@ -410,6 +410,16 @@ def test_replay_uses_the_certificate_oracle():
         replay_certificate(cert, budget=3)
     del cert["oracle"]  # max-flow, which has no budget
     assert replay_certificate(cert, budget=3)["reproduced"] is False
+
+
+def test_subset_oracle_reads_kappa_zero_off_a_disconnected_product():
+    # 2K_3 x K_3 has no cut list to read kappa' off, but its empty cut needs
+    # no search, so both oracles answer 0 at any budget
+    g = disjoint_union(complete_graph(3), complete_graph(3))
+    cert = {"check": "theorem1", "g": emit_graph6(g), "h": "Bw"}
+    for oracle in ("maxflow", "subset"):
+        out = replay_certificate({**cert, "oracle": oracle}, budget=1)
+        assert out["formula"] == out["oracle"] == 0 and out["status"] == "ok"
 
 
 def test_mismatch_certificate_names_its_oracle(monkeypatch):
