@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="two factors: closed form vs oracle on the product")
     p.add_argument("--oracle", choices=("maxflow", "subset"), default="maxflow")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="most edge subsets or vertex sides the subset oracle may test")
+                   help="most 64-bit words one subset-oracle scan may touch")
     p.set_defaults(func=_cmd_kappa)
 
     p = sub.add_parser("classify", help="classify a minimum cut of a product")
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also run the exhaustive definitional check: exit 1 "
                         "when it disagrees, 2 when over budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="most edge subsets or vertex sides the --brute scan may test")
+                   help="most 64-bit words the --brute scan may touch")
     p.set_defaults(func=_cmd_super)
 
     p = sub.add_parser("family", help="emit exceptional family member l as graph6")
@@ -227,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification campaign")
     p.add_argument("config", nargs="?", help="flat key=value config file")
     p.add_argument("--budget", type=int, default=None,
-                   help="most edge subsets or vertex sides the subset oracle may "
-                        "test per pair; only --oracle subset can run out of it "
+                   help="most 64-bit words one subset-oracle scan may touch per "
+                        "pair; only --oracle subset can run out of it "
                         "(exit 2)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--checks", default=None,

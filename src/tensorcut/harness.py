@@ -75,6 +75,8 @@ class CampaignConfig:
 
     Sources are "enumerate" (internal non-isomorphic generation), a
     "random:COUNT[:MINDEG]" draw, or a path to a graph6 file.
+    ``enumeration_budget`` is the most 64-bit words that one subset-oracle
+    scan may touch per pair; only ``oracle = subset`` reads it.
     """
 
     g_source: str = "enumerate"

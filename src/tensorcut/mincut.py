@@ -5,41 +5,30 @@ The exact routes share one loop of unit-capacity max-flows, from the block
 {0..t-1} to each sink t: kappa' is the least flow value, and every minimum
 cut a vertex set closed under the residual arcs of a flow that attains it
 (Picard and Queyranne, "On the structure of all minimum cuts in a network",
-1980).  An edge-subset scan and a vertex-side scan are the oracle for both.
-The first rests on two bounds from disjoint code.  The scan gives the upper
-bound: every k-subset is tested for disconnection, except subsets that
-touch no spanning-tree edge, which provably cannot disconnect.  A checked
-certificate gives the lower bound: a dominating set D of the graph, and
-edge-disjoint walks from its first vertex d0 to each other vertex of D,
-read off max-flows.  Both are verified against the graph alone
-(``_dominates``, ``_is_packing``).  By Menger's theorem and Matula's lemma
-(every cut with fewer than delta edges separates d0 from some other vertex
-of D; "Determining edge connectivity in O(nm)", 1987) they prove that no
-smaller subset disconnects, so those levels are not scanned, at the cost of
-|D| - 1 flows rather than n - 1.  A faulty max-flow or dominating set fails
-the check and costs only time (the "certifying algorithms" pattern of
-McConnell, Mehlhorn, Naeher and Schweitzer, 2011).
+1980).  The max-flow routes need no budget.
 
-The disconnection test runs on blocks of subsets at once, one subset per
-bit lane of Python ints: each edge has the mask of the lanes that keep it,
-each vertex the mask of the lanes where vertex 0 reaches it, and the reach
-masks grow by sweeps over the vertices.  One sweep in BFS order settles
-most blocks as connected; the rest sweep until their reach stops changing.
+The oracle reads only the graph and calls no max-flow.  Two vertices with
+more than delta edge-disjoint short paths between them, the edge uv and one
+path through each common neighbour, lie on one side of every minimum cut, so
+every minimum cut is delta(S) for one union S of these inseparable groups
+that holds vertex 0 (``_inseparable_groups``).  Two exhaustive scans over
+such unions list every minimum cut:
 
-A dense graph has a large kappa', and the edge scan's levels grow as
-C(|E|, kappa').  The side scan's cost does not depend on kappa': every
-minimum cut is delta(S) for one vertex set S that holds vertex 0.  Two
-vertices with more than delta edge-disjoint short paths between them, the
-edge uv and one path through each common neighbour, lie on one side of
-every minimum cut, so S is a union of these inseparable groups
-(``_inseparable_groups``), and the scan tests all 2**(groups-1) such
-unions, reading only degrees and adjacency masks.  ``_first_level_hits``
-runs whichever of the two is smaller under the budget, so kappa' is the
-least side value or the first level with a disconnecting subset;
-``edge_connectivity_subset`` takes the first cut it yields and
-``enumerate_min_cuts_subset`` all of them.  Over budget, they and
-``is_super_edge_connected`` raise BudgetExceeded instead of answering from
-a partial scan.  The max-flow routes need no budget.
+- the side scan (``_side_scan_cuts``) tests all 2**(k-1) unions of the k
+  groups, many at once in the bit lanes of Python ints;
+- the tree scan (``_tree_scan_cuts``) tests the unions whose boundary
+  crosses at most kappa' edges of a spanning tree of the quotient by the
+  groups.  The fundamental cuts of the tree are a basis of the cut space,
+  so delta(S) is the XOR of the fundamental cuts of the tree edges that it
+  crosses, and a cut of value v crosses at most v of them.
+
+The budget counts the 64-bit words that a scan touches.  Among the scans
+that fit it, ``_subset_min_cuts`` runs the one with fewer Python-level
+steps, and it raises BudgetExceeded before any scan starts when neither
+fits, so an answer depends only on the graph and the budget.
+``edge_connectivity_subset`` answers with the least minimum cut by sorted
+edge list, ``enumerate_min_cuts_subset`` with all of them, and
+``is_super_edge_connected`` reads that list.
 """
 
 from __future__ import annotations
@@ -47,22 +36,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations, compress, takewhile
-from operator import and_
 from typing import Iterable, Iterator, Optional
 
 from .graphs import Edge, Graph, edge
 
 DEFAULT_BUDGET = 5_000_000
-# A block of the subset scan holds at most m**t <= _LANE_BOUND subsets, one
-# per bit of an int, for the m edges and t trailing indices of its subsets.
-_LANE_BOUND = 1 << 18
 
 
 class BudgetExceeded(Exception):
-    """The requested exhaustive scan would test more edge subsets or vertex
-    sides than allowed."""
+    """Both subset-oracle scans would touch more 64-bit words than the budget
+    allows."""
 
 
 @dataclass(frozen=True)
@@ -147,95 +130,6 @@ def _disconnected_cut(g: Graph) -> Optional[MinCutResult]:
     if g.n < 2:
         raise ValueError("edge connectivity requires at least two vertices")
     return None if g.is_connected() else MinCutResult(0, frozenset())
-
-
-# ---------------------------------------------------------------------------
-# Certified lower bounds: a dominating set and edge-disjoint walks read off
-# max-flows, checked.
-
-def _flow_walks(cap: list[dict[int, int]], s: int, t: int, count: int) -> list[list[int]]:
-    """``count`` s-t walks along the arcs that carry flow, those of residual
-    capacity ``cap[u][w] == 0``, each arc taken at most once.
-
-    A walk that reaches a vertex with no flow arc left ends there, short of
-    t; the checker, not this reader, decides what the walks prove.
-    """
-    out = [[w for w, c in arcs.items() if c == 0] for arcs in cap]
-    walks = []
-    for _ in range(count):
-        walk = [s]
-        while walk[-1] != t and out[walk[-1]]:
-            walk.append(out[walk[-1]].pop())
-        walks.append(walk)
-    return walks
-
-
-def _is_packing(g: Graph, s: int, t: int, walks: Iterable[list[int]]) -> bool:
-    """Whether ``walks`` are edge-disjoint s-t walks in g.
-
-    Each walk must start at s, end at t and step only along edges of g, and
-    no edge may appear twice across the walks.  By Menger's theorem, k such
-    walks prove that every s-t edge cut has at least k edges.
-    """
-    used: set[Edge] = set()
-    for walk in walks:
-        if not walk or walk[0] != s or walk[-1] != t:
-            return False
-        for u, w in zip(walk, walk[1:]):
-            if u == w:
-                return False
-            e = edge(u, w)
-            if e not in g.edges or e in used:
-                return False
-            used.add(e)
-    return True
-
-
-def _dominating_set(g: Graph) -> list[int]:
-    """A dominating set of g, built greedily: vertex 0 first, then, while
-    some vertex is neither in the set nor next to it, the vertex that covers
-    the most such vertices, ties going to the lowest id."""
-    closed = [mask | 1 << v for v, mask in enumerate(g.adjacency_masks)]
-    dom, left = [0], ((1 << g.n) - 1) & ~closed[0]
-    while left:
-        v = max(range(g.n), key=lambda v: (closed[v] & left).bit_count())
-        dom.append(v)
-        left &= ~closed[v]
-    return dom
-
-
-def _dominates(g: Graph, dom: list[int]) -> bool:
-    """Whether ``dom`` is a set of vertices of g that every vertex of g is in
-    or next to."""
-    inside = set(dom)
-    return inside <= set(range(g.n)) and all(
-        v in inside or any(w in inside for w in g.neighbors(v)) for v in range(g.n))
-
-
-def _certified_lower_bound(g: Graph, want: int) -> int:
-    """A checked lower bound on kappa' of g, at most ``want``.
-
-    Matula's lemma ("Determining edge connectivity in O(nm)", 1987): let D
-    dominate g and d0 be in D.  A cut with fewer than delta(g) edges leaves
-    more than delta(g) vertices on each side, so each side has a vertex with
-    no cut edge, and D holds it or a neighbour of it on its side.  Some d in
-    D then lies across the cut from d0, so kappa' >= min(delta(g),
-    lambda(d0, d) over d in D - {d0}).  ``_dominates`` checks D against g,
-    and for each d a max-flow from d0 capped at the bound so far yields
-    edge-disjoint d0-d walks, which ``_is_packing`` checks against g alone.
-    A rejected set or packing gives 0.
-    """
-    dom = _dominating_set(g)
-    if not _dominates(g, dom):
-        return 0
-    s, bound = dom[0], min(want, g.min_degree())
-    for t in dom[1:]:
-        flow, _, cap = _unit_max_flow(g, (s,), t, limit=bound)
-        walks = _flow_walks(cap, s, t, flow)
-        if not _is_packing(g, s, t, walks):
-            return 0
-        bound = min(bound, len(walks))
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -339,151 +233,7 @@ def enumerate_min_cuts(g: Graph) -> CutEnumeration:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive subset scanning.
-
-def _scan_order(g: Graph) -> tuple[list[Edge], list[int]]:
-    """The edges of a connected g, the n - 1 edges of a BFS spanning tree
-    from vertex 0 first, and the vertices in that BFS order.
-
-    Subsets disjoint from the tree leave it intact and cannot disconnect,
-    and in lexicographic combination order they form a contiguous tail.
-    """
-    bfs, tree, seen = [0], [], {0}
-    for u in bfs:
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                bfs.append(w)
-                tree.append(edge(u, w))
-    return tree + sorted(g.edges - set(tree)), bfs
-
-
-def _lane_masks(m: int, t: int) -> list[int]:
-    """Per index j < m, a bitmask of the t-subsets of range(m) that hold j,
-    one bit (lane) per subset in lexicographic order.
-
-    The t-subsets with first index a are a followed by each (t-1)-subset
-    above a, and those are the last C(m-a-1, t-1) of all (t-1)-subsets, so
-    each t comes from the masks for t - 1 by one shift per index pair.
-    """
-    masks, lanes = [1 << j for j in range(m)], m
-    for d in range(2, t + 1):
-        level, at = [0] * m, 0
-        for a in range(m):
-            width = math.comb(m - a - 1, d - 1)
-            level[a] |= ((1 << width) - 1) << at
-            for j in range(a + 1, m):
-                level[j] |= masks[j] >> (lanes - width) << at
-            at += width
-        masks, lanes = level, at
-    return masks
-
-
-def _sweep(adj: list[list[tuple[int, int]]], reach: list[int], vertices: Iterable[int]) -> None:
-    """One in-place reachability sweep: each vertex v, in the order given,
-    adds its reach to each neighbour w of its (w, kept) pairs in ``adj[v]``,
-    in the lanes that keep that edge."""
-    for v in vertices:
-        rv = reach[v]
-        if rv:
-            for w, kept in adj[v]:
-                reach[w] |= rv & kept
-
-
-def _disconnecting_subsets(
-    g: Graph, k: int, order: list[Edge], bfs: list[int]
-) -> Iterator[tuple[int, ...]]:
-    """Yield index k-subsets of ``order`` whose removal disconnects the
-    connected g, in lexicographic order, skipping those that touch none of
-    its first n - 1 edges, a spanning tree (``_scan_order``).
-
-    A block holds every k-subset with the same first k - t indices, one per
-    bit lane of Python ints, the last t indices in lexicographic order: t =
-    min(k - 1, 3), or 1 for k = 1, lowered while m**t exceeds
-    ``_LANE_BOUND``.  Each edge gets the mask of the lanes that keep it, and
-    each vertex the mask of the lanes where vertex 0 reaches it.  One sweep
-    visits the vertices in ``bfs``, a BFS order from vertex 0; a block whose
-    lanes then all reach every vertex is connected, since reach never holds
-    a vertex that vertex 0 cannot reach.  Otherwise the sweeps go alternately
-    down and up the vertex numbers until one adds nothing, and the lanes
-    that miss some vertex disconnect.
-    """
-    if k == 0:
-        return
-    n, m, tree_size = g.n, len(order), g.n - 1
-    t = 1 if k == 1 else min(k - 1, 3)
-    while t > 1 and m ** t > _LANE_BOUND:
-        t -= 1
-    total = math.comb(m, t)
-    kept = [((1 << total) - 1) ^ mask for mask in _lane_masks(m, t)]
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j, (u, v) in enumerate(order):
-        incident[u].append((v, j))
-        incident[v].append((u, j))
-    down = range(n - 1, -1, -1)
-
-    if k == 1:
-        prefixes: Iterable[tuple[int, ...]] = [()]
-    else:
-        prefixes = takewhile(lambda p: p[0] < tree_size, combinations(range(m - t), k - t))
-    for prefix in prefixes:
-        first = prefix[-1] + 1 if prefix else 0
-        lanes = math.comb(m - first, t)
-        full = (1 << lanes) - 1
-        keep = [full] * first + [mask >> (total - lanes) for mask in kept[first:]]
-        for j in prefix:
-            keep[j] = 0
-        adj = [[(w, keep[j]) for w, j in incident[v]] for v in range(n)]
-        reach = [full] + [0] * (n - 1)
-        _sweep(adj, reach, bfs)
-        steps = down
-        while (joint := reduce(and_, reach)) != full:
-            before = reach[:]
-            _sweep(adj, reach, steps)
-            if reach == before:
-                break
-            steps = steps[::-1]
-        hits = full ^ joint
-        if not prefix:  # the lanes of k = 1 run past the spanning tree
-            hits &= (1 << tree_size) - 1
-        if hits:
-            tails = combinations(range(first, m), t)
-            for tail in compress(tails, map(int, f"{hits:b}"[::-1])):
-                yield prefix + tail
-
-
-def _edge_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
-    """The disconnecting edge sets of the least size that has one, in
-    lexicographic scan order, for a connected g with n >= 2.
-
-    That size is kappa', and level delta always hits.  Raises BudgetExceeded
-    before starting any level that would push the running count of subsets,
-    over all levels from 1, past the budget.  Levels below a checked lower
-    bound (``_certified_lower_bound``) cannot hit and are counted but not
-    scanned, so a faulty max-flow can cost time but cannot change an answer
-    or a budget decision.
-    """
-    order, bfs = _scan_order(g)
-    m = len(order)
-    spent, stop = 1, g.min_degree()
-    for k in range(1, stop + 1):
-        spent += math.comb(m, k)
-        if spent > budget:
-            stop = k
-            break
-    for k in range(max(1, _certified_lower_bound(g, stop)), stop + 1):
-        if k == stop and spent > budget:
-            raise BudgetExceeded(
-                f"subset search would test {spent} subsets (budget {budget})"
-            )
-        hits = _disconnecting_subsets(g, k, order, bfs)
-        for first in hits:
-            return (frozenset(order[i] for i in combo) for combo in chain((first,), hits))
-    raise AssertionError("removing a minimum-degree star must disconnect")
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive side scanning, and the choice between the two scans.
+# The subset oracle: exhaustive scans over unions of inseparable groups.
 
 def _inseparable_groups(g: Graph) -> list[int]:
     """Vertex groups, as bitmasks in order of their least vertex, that no
@@ -516,6 +266,13 @@ def _inseparable_groups(g: Graph) -> list[int]:
     return list(groups.values())
 
 
+def _side_layout(g: Graph, k: int) -> tuple[int, int]:
+    """The side scan's lanes over k groups: the ``low`` groups that the lanes
+    of one int enumerate, and the ``width`` of a lane's field, which holds
+    any cut size, at most |E|, below a guard bit."""
+    return min(k, k // 2 + 2), len(g.edges).bit_length() + 1
+
+
 def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     """Every minimum cut of a connected g with n >= 2, by a scan of the
     2**(k-1) - 1 proper unions S of the k ``groups`` (``_inseparable_groups``)
@@ -542,8 +299,7 @@ def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     deg = [sum(a.bit_count() for a in out) for out in outside]
     weight = [[sum((a & other).bit_count() for a in out) for other in groups]
               for out in outside]
-    width = len(g.edges).bit_length() + 1  # cut sizes <= |E| below a guard bit
-    low = min(k, k // 2 + 2)
+    low, width = _side_layout(g, k)
     ones, lanes = 1, 1
     cut = deg[0]  # per lane: |delta(A)|, A = group 0 first
     nbrs = [w[0] for w in weight]  # per group, per lane: its weight to A
@@ -598,49 +354,122 @@ def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     return sorted((_boundary(g, side) for side in sides), key=sorted)
 
 
-def _first_level_hits(g: Graph, budget: int) -> Iterator[frozenset[Edge]]:
-    """The minimum cuts of a connected g with n >= 2, by whichever
-    exhaustive scan is smaller.
+def _tree_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
+    """Every minimum cut of a connected g with n >= 2, by a scan of the
+    unions S of the k ``groups`` (``_inseparable_groups``) that hold group 0
+    and whose boundary crosses few edges of a spanning tree of the quotient
+    of g by the groups, as sorted by ``sorted``.
 
-    The side scan (``_side_scan_cuts``) tests 2**(k-1) unions of the k
-    inseparable groups (``_inseparable_groups``), the level search
-    (``_edge_level_hits``) at most the sum of C(|E|, j) over j <= delta edge
-    subsets.  The side scan runs when its count fits both the budget and
-    that sum, and yields the cuts sorted by ``sorted``; the level search
-    runs otherwise, under its own budget rule, and yields them in
-    lexicographic scan order.  So an answer depends only on the graph and
-    the budget, and BudgetExceeded is raised only when 2**(k-1) is over the
-    budget too.
+    The edges are the bits of an int, in sorted order.  A group's star is
+    the XOR of its members' incident edges, so its inner edges cancel.  The
+    quotient has a BFS spanning tree from group 0, and the fundamental cut of
+    a tree edge is delta of the groups below it, the XOR of their stars,
+    summed up the tree in reverse BFS order.  S is matched with the tree
+    edges that it crosses, one subset for each S, and delta(S) is the XOR of
+    their fundamental cuts.  Crossed tree edges join distinct pairs of
+    groups, each by an edge of delta(S), so a cut of value v crosses at most
+    v of them.  So a depth-first search over the subsets of tree edges, in
+    index order, one XOR and one popcount a step, finds every minimum cut
+    when it extends a subset only while the subset has fewer edges than the
+    least value so far, which starts at delta.
+    """
+    edges = sorted(g.edges)
+    group = [0] * g.n
+    for i, grp in enumerate(groups):
+        for v in range(g.n):
+            if grp >> v & 1:
+                group[v] = i
+    below = [0] * len(groups)  # per group: its star, then its subtree's cut
+    touching: list[set[int]] = [set() for _ in groups]
+    for bit, (u, v) in enumerate(edges):
+        a, b = group[u], group[v]
+        if a != b:
+            below[a] ^= 1 << bit
+            below[b] ^= 1 << bit
+            touching[a].add(b)
+            touching[b].add(a)
+    order, parent = [0], {0: 0}
+    for a in order:
+        for b in sorted(touching[a] - parent.keys()):
+            parent[b] = a
+            order.append(b)
+    for b in reversed(order[1:]):
+        below[parent[b]] ^= below[b]
+    tree = [below[b] for b in order[1:]]
+    best, found = g.min_degree(), []
+
+    def extend(start: int, mask: int, size: int) -> None:
+        nonlocal best, found
+        for i in range(start, len(tree)):
+            cut = mask ^ tree[i]
+            value = cut.bit_count()
+            if value <= best:
+                if value < best:
+                    best, found = value, []
+                found.append(cut)
+            if size + 1 < best:
+                extend(i + 1, cut, size + 1)
+
+    extend(0, 0, 0)
+    bits = []  # per cut, its edges' bits in ascending order, as sorted edges are
+    for cut in found:
+        bits.append([])
+        while cut:
+            bits[-1].append((cut & -cut).bit_length() - 1)
+            cut &= cut - 1
+    return [frozenset(edges[bit] for bit in cut) for cut in sorted(bits)]
+
+
+def _subset_min_cuts(g: Graph, budget: int) -> list[frozenset[Edge]]:
+    """The minimum cuts of a connected g with n >= 2, as sorted by
+    ``sorted``, by the side scan or the tree scan over its k inseparable
+    groups.
+
+    The budget counts the 64-bit words that a scan touches: the side scan
+    makes 2**(k-low) Gray-code moves over lanes of ``width`` bits for each of
+    the 2**(low-1) unions of its low groups (``_side_layout``), and the tree
+    scan XORs an |E|-bit mask for each of its sum of C(k-1, j) over j <=
+    delta subsets.  Of the scans that fit, the one with fewer Python-level
+    steps runs: the side scan's k**2 weights and 2**(k-low) moves, or the tree
+    scan's subsets.  When neither fits, BudgetExceeded names the smaller word
+    count before any scan starts.
     """
     groups = _inseparable_groups(g)
-    sides = 1 << (len(groups) - 1)
-    if sides <= budget and sides <= sum(
-            math.comb(len(g.edges), k) for k in range(g.min_degree() + 1)):
-        return iter(_side_scan_cuts(g, groups))
-    return _edge_level_hits(g, budget)
+    k = len(groups)
+    low, width = _side_layout(g, k)
+    moves = 1 << (k - low)
+    subsets = sum(math.comb(k - 1, j) for j in range(1, g.min_degree() + 1))
+    scans = [  # (words, steps, scan)
+        (moves * -(-width * (1 << (low - 1)) // 64), k * k + moves, _side_scan_cuts),
+        (subsets * -(-len(g.edges) // 64), subsets, _tree_scan_cuts),
+    ]
+    fits = [scan for scan in scans if scan[0] <= budget]
+    if not fits:
+        words = min(words for words, _, _ in scans)
+        raise BudgetExceeded(f"subset oracle would touch {words} words (budget {budget})")
+    _, _, scan = min(fits, key=lambda scan: scan[1])
+    return scan(g, groups)
 
 
 def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutResult:
-    """kappa' by brute force, witnessed by the first minimum cut that
-    ``_first_level_hits`` yields: the least by sorted edge list where the
-    side scan runs, else the first disconnecting subset, in lexicographic
-    scan order, of the least size that has one.  Raises BudgetExceeded under
-    the rule of ``_first_level_hits``."""
+    """kappa' by brute force, witnessed by the least minimum cut by sorted
+    edge list.  Raises BudgetExceeded under the rule of
+    ``_subset_min_cuts``."""
     trivial = _disconnected_cut(g)
     if trivial is not None:
         return trivial
-    witness = next(_first_level_hits(g, budget))
+    witness = _subset_min_cuts(g, budget)[0]
     return MinCutResult(len(witness), witness)
 
 
 def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnumeration:
     """All minimum edge cuts by brute force, the oracle for
-    ``enumerate_min_cuts``: every disconnecting edge set of the least size
-    that has one.  kappa' comes from the scan, not from max-flow, under the
-    budget rule and message of ``_first_level_hits``."""
+    ``enumerate_min_cuts``, in the same order.  kappa' comes from the scan,
+    not from max-flow, under the budget rule and message of
+    ``_subset_min_cuts``."""
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
-    return CutEnumeration(tuple(sorted(_first_level_hits(g, budget), key=sorted)))
+    return CutEnumeration(tuple(_subset_min_cuts(g, budget)))
 
 
 def is_vertex_star(g: Graph, cut: Iterable[Edge]) -> Optional[int]:

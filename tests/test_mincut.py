@@ -21,7 +21,6 @@ from tensorcut.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
-    disjoint_union,
     path_graph,
     remove_edges,
 )
@@ -109,19 +108,7 @@ def test_maxflow_agrees_with_networkx(g):
     assert edge_connectivity(g).value == nx.edge_connectivity(nxg)
 
 
-BUDGETS = (10, 100, 10**3, 10**4, 10**5, 5 * 10**6)
-
-
-def budget_stop(g, budget):
-    """The plain budget rule of the edge route: the first level whose
-    running subset count, from level 1 on, passes the budget, with that
-    count; None and the total when no level up to delta does."""
-    m, spent = len(g.edges), 1
-    for k in range(1, g.min_degree() + 1):
-        spent += math.comb(m, k)
-        if spent > budget:
-            return k, spent
-    return None, spent
+BUDGETS = (0, 10, 100, 10**3, 10**4, 10**5, 5 * 10**6)
 
 
 def group_count(g):
@@ -139,32 +126,43 @@ def group_count(g):
     return len(groups)
 
 
-def side_scan_fits(g, budget):
-    """The subset oracle's choice of route: it scans the 2**(groups-1) unions
-    of inseparable groups when they fit the budget and the edge route's
-    worst-case count."""
-    sides = 2 ** (group_count(g) - 1)
-    return sides <= budget and sides <= sum(
-        math.comb(len(g.edges), k) for k in range(g.min_degree() + 1))
+def scan_costs(g):
+    """The 64-bit words and the Python-level steps of each subset scan on a
+    connected g, counted plainly over its k inseparable groups.
+
+    The side scan holds the unions of its low = min(k, k // 2 + 2) groups in
+    lanes, one field each wide enough for |E| and a guard bit, and makes
+    2**(k - low) moves over all of them; its steps are those moves and the
+    k * k group weights.  The tree scan steps through every set of 1..delta
+    of the k - 1 tree edges, each an |E|-bit mask.
+    """
+    k, m = group_count(g), len(g.edges)
+    low = min(k, k // 2 + 2)
+    width = len(f"{m:b}") + 1
+    moves = 2 ** (k - low)
+    subsets = sum(math.comb(k - 1, j) for j in range(1, g.min_degree() + 1))
+    return {"side": (moves * math.ceil(width * 2 ** (low - 1) / 64), k * k + moves),
+            "tree": (subsets * math.ceil(m / 64), subsets)}
 
 
-def over_budget(g, budget, value):
-    """Whether the subset oracle raises BudgetExceeded on g, of kappa'
-    ``value``: the unions of groups do not fit the budget and the plain
-    rule's level is at most kappa'."""
-    stop, _ = budget_stop(g, budget)
-    return 2 ** (group_count(g) - 1) > budget and stop is not None and stop <= value
+def chosen_scan(g, budget):
+    """The scan that the subset oracle runs on g: of those whose words fit
+    the budget, the one with fewer steps, the side scan on a tie; None when
+    neither fits."""
+    costs = scan_costs(g)
+    fits = [name for name, (words, _) in costs.items() if words <= budget]
+    return min(fits, key=lambda name: costs[name][1], default=None)
 
 
-def _plain_scan(g, k):
-    """The subset scan done plainly: every tree-touching k-subset of the scan
-    order, in lexicographic order, that disconnects g.  The tree is the
-    first n - 1 edges of the order, and it must span g."""
-    order, _ = mincut._scan_order(g)
-    assert Graph(g.n, order[:g.n - 1]).is_connected()
-    return (c for c in combinations(range(len(order)), k)
-            if c[0] < g.n - 1
-            and not remove_edges(g, [order[i] for i in c]).is_connected())
+def over_budget(g, budget):
+    """Whether the subset oracle raises BudgetExceeded on g."""
+    return chosen_scan(g, budget) is None
+
+
+def budget_edges(g):
+    """Each scan's word count on g and one less: the budgets where the
+    oracle's choice can change."""
+    return {words + d for words, _ in scan_costs(g).values() for d in (-1, 0)}
 
 
 def component_boundary(g, witness, v=0):
@@ -175,144 +173,88 @@ def component_boundary(g, witness, v=0):
 
 
 def _expected(g):
-    """kappa' of g, the plain scan's first hit, the least minimum cut by
-    sorted edge list and the max-flow cut list."""
-    value = edge_connectivity(g).value
-    order, _ = mincut._scan_order(g)
-    hit = frozenset(order[i] for i in next(_plain_scan(g, value)))
+    """kappa' of g, the least minimum cut by sorted edge list and the
+    max-flow cut list."""
     cuts = enumerate_min_cuts(g)
-    return value, hit, cuts.cuts[0], cuts
-
-
-def _edge_route_kappa(g, budget):
-    witness = next(mincut._edge_level_hits(g, budget))
-    return mincut.MinCutResult(len(witness), witness)
-
-
-def _edge_route_cuts(g, budget):
-    return mincut.CutEnumeration(tuple(sorted(mincut._edge_level_hits(g, budget), key=sorted)))
+    return edge_connectivity(g).value, cuts.cuts[0], cuts
 
 
 def _check_budget_decision(g, budget, expected):
-    """The subset oracle's selection rule and the edge route's budget rule.
-
-    Where the sides fit (``side_scan_fits``), edge_connectivity_subset
-    answers with the least minimum cut by sorted edge list and
-    enumerate_min_cuts_subset with the max-flow cut list, and the edge route
-    is called directly; elsewhere the two oracles take the edge route.  That
-    route raises exactly when the plain rule's level is at most kappa', with
-    its message; otherwise it answers with the plain scan's first hit and
-    the max-flow cut list.
+    """The subset oracle's budget rule.  Where a scan fits
+    (``chosen_scan``), edge_connectivity_subset answers with the least
+    minimum cut by sorted edge list and enumerate_min_cuts_subset with the
+    max-flow cut list; where neither fits, both raise and name the smaller
+    word count.
     """
-    value, hit, least, cuts = expected
-    oracles = (edge_connectivity_subset, enumerate_min_cuts_subset)
-    if side_scan_fits(g, budget):
+    value, least, cuts = expected
+    if over_budget(g, budget):
+        words = min(words for words, _ in scan_costs(g).values())
+        for oracle in (edge_connectivity_subset, enumerate_min_cuts_subset):
+            with pytest.raises(BudgetExceeded) as exc:
+                oracle(g, budget)
+            assert str(exc.value) == f"subset oracle would touch {words} words (budget {budget})"
+    else:
         res = edge_connectivity_subset(g, budget)
         assert (res.value, res.witness) == (value, least), (g, budget)
         assert component_boundary(g, res.witness) == res.witness
         assert enumerate_min_cuts_subset(g, budget) == cuts, (g, budget)
-        oracles = (_edge_route_kappa, _edge_route_cuts)
-    stop, spent = budget_stop(g, budget)
-    if stop is not None and stop <= value:
-        for oracle in oracles:
-            with pytest.raises(BudgetExceeded) as exc:
-                oracle(g, budget)
-            assert str(exc.value) == f"subset search would test {spent} subsets (budget {budget})"
-    else:
-        res = oracles[0](g, budget)
-        assert (res.value, res.witness) == (value, hit), (g, budget)
-        assert component_boundary(g, res.witness) == res.witness
-        assert oracles[1](g, budget) == cuts, (g, budget)
 
 
 def test_subset_search_budget():
-    with pytest.raises(BudgetExceeded, match="test 22 subsets \\(budget 10\\)"):
-        edge_connectivity_subset(complete_graph(7), budget=10)
-    # the bridged K_4 has kappa' 1 below delta 3: budgets that level 1 fits
-    # answer with the bridge, even where level 2 or 3 would not fit; one side
-    # fewer than 2**(n-1) turns the side scan down
-    for g in (complete_graph(7), C6, bridged(K4), bridged(complete_graph(5))):
+    # K_7 has 7 groups and 21 edges: the side scan makes 4 moves over 16
+    # lanes of 6 bits, 8 words, and the tree scan touches one word for each
+    # of its 63 subsets
+    assert scan_costs(complete_graph(7)) == {"side": (8, 53), "tree": (63, 63)}
+    with pytest.raises(BudgetExceeded, match="touch 8 words \\(budget 7\\)"):
+        edge_connectivity_subset(complete_graph(7), budget=7)
+    assert edge_connectivity_subset(complete_graph(7), budget=8).value == 6
+    # the bridged K_4 has kappa' 1 below delta 3, and its bridge is its one
+    # minimum cut; C_26 takes the tree scan at any budget that it fits
+    for g in (complete_graph(7), C6, bridged(K4), bridged(complete_graph(5)), cycle_graph(26)):
         expected = _expected(g)
-        for budget in (*BUDGETS, 2 ** (g.n - 1) - 1, 2 ** (g.n - 1)):
+        for budget in {*BUDGETS, *budget_edges(g)}:
             _check_budget_decision(g, budget, expected)
     assert edge_connectivity_subset(bridged(K4), budget=20).witness == {(0, 4)}
-    with pytest.raises(BudgetExceeded, match="test 232 subsets \\(budget 63\\)"):
-        edge_connectivity_subset(complete_graph(7), budget=63)
-    assert edge_connectivity_subset(complete_graph(7), budget=64).value == 6
+    assert [chosen_scan(cycle_graph(26), b) for b in (324, 325, 5 * 10**6)] == [None, "tree", "tree"]
 
 
 def test_oracle_runs_the_smaller_scan(monkeypatch):
-    # the side scan runs exactly when its 2**(groups-1) unions of inseparable
-    # groups fit both the budget and the edge route's count up to level
-    # delta, on every connected graph on 2..7 vertices at the edges of both
-    # bounds
+    # of the scans whose words fit the budget, the one with fewer steps runs,
+    # and none runs when neither fits, on every connected graph on 2..7
+    # vertices and on C_26, where the budgets between its two word counts fit
+    # the tree scan alone, at the edges of both word counts
     ran = []
-    monkeypatch.setattr(mincut, "_side_scan_cuts", lambda g, groups: ran.append("side") or [])
-    monkeypatch.setattr(mincut, "_edge_level_hits", lambda g, b: ran.append("edge") or iter(()))
+    for name in ("_side_scan_cuts", "_tree_scan_cuts"):
+        monkeypatch.setattr(mincut, name, lambda g, groups, name=name: ran.append(name) or [])
     routes = set()
-    for g in (g for n in range(2, 8) for g in connected_graphs(n)):
-        count = sum(math.comb(len(g.edges), k) for k in range(g.min_degree() + 1))
-        sides = 2 ** (group_count(g) - 1)
-        for budget in {*BUDGETS, sides - 1, sides, count - 1, count}:
+    for g in [g for n in range(2, 8) for g in connected_graphs(n)] + [cycle_graph(26)]:
+        costs = scan_costs(g)
+        for budget in {*BUDGETS, *budget_edges(g)}:
             ran.clear()
-            mincut._first_level_hits(g, budget)
-            want = "side" if side_scan_fits(g, budget) else "edge"
-            assert ran == [want], (g, budget)
-            routes.add((want, sides <= budget))
-    assert routes == {("side", True), ("edge", True), ("edge", False)}
+            want = chosen_scan(g, budget)
+            if want is None:
+                with pytest.raises(BudgetExceeded):
+                    mincut._subset_min_cuts(g, budget)
+                assert ran == [], (g, budget)
+            else:
+                mincut._subset_min_cuts(g, budget)
+                assert ran == [f"_{want}_scan_cuts"], (g, budget)
+            routes.add((want, tuple(name for name, (words, _) in costs.items() if words <= budget)))
+    assert routes == {(None, ()), ("side", ("side",)), ("tree", ("tree",)),
+                      ("side", ("side", "tree")), ("tree", ("side", "tree"))}
 
 
-def _kernel_disconnecting(g, k):
-    order, bfs = mincut._scan_order(g)
-    return list(mincut._disconnecting_subsets(g, k, order, bfs))
-
-
-@pytest.mark.parametrize("lane_bound, tails", [(1, {1}), (100, {1, 2}),
-                                               (mincut._LANE_BOUND, {1, 2, 3})],
-                         ids=["t1", "t2", "t3"])
-def test_kernel_matches_plain_scan_on_small_graphs(monkeypatch, lane_bound, tails):
-    # every connected graph on 2..6 vertices, each level up to delta; the
-    # largest level is C(15, 5) = 3003 subsets (K_6).  A lane bound of 1
-    # puts one index in the lanes throughout, 100 up to two on at most 10
-    # edges, and the real bound up to three.
-    seen = set()
-    real = mincut._lane_masks
-
-    def recording(m, t):
-        seen.add(t)
-        return real(m, t)
-
-    monkeypatch.setattr(mincut, "_LANE_BOUND", lane_bound)
-    monkeypatch.setattr(mincut, "_lane_masks", recording)
-    for g in (g for n in range(2, 7) for g in connected_graphs(n)):
-        for k in range(1, g.min_degree() + 1):
-            assert _kernel_disconnecting(g, k) == list(_plain_scan(g, k)), (g, k)
-    assert seen == tails
-
-
-def test_lane_masks_match_brute_force():
-    # bit i of mask j is set exactly when the i-th t-subset of range(r), in
-    # lexicographic order, holds j
-    for r in range(1, 8):
-        for t in range(1, 4):
-            subsets = list(combinations(range(r), t))
-            masks = mincut._lane_masks(r, t)
-            assert len(masks) == r
-            for j, mask in enumerate(masks):
-                want = sum(1 << i for i, sub in enumerate(subsets) if j in sub)
-                assert mask == want, (r, t, j)
-
-
-def test_kernel_on_multiword_rows():
-    # lanes past 64 bits span several machine words: a block of C_70 holds up
-    # to 69 of them at level 2, and one of a 130-cycle with chords every 10
-    # vertices (2-edge-connected, delta 2, 143 edges) up to 142
+def test_tree_scan_on_multiword_masks():
+    # edge masks past 64 bits span several machine words: C_70 has 70 edges,
+    # and a 130-cycle with chords every 10 vertices (2-edge-connected, delta
+    # 2) 143; both take the tree scan, whose cut lists are the max-flow ones
     chorded = Graph(130, set(cycle_graph(130).edges)
                     | {(i, i + 5) for i in range(0, 130, 10)})
     for g in (cycle_graph(70), chorded):
-        for k in (1, 2):
-            assert _kernel_disconnecting(g, k) == list(_plain_scan(g, k)), (g.n, k)
-        assert edge_connectivity_subset(g).value == edge_connectivity(g).value == 2
+        assert chosen_scan(g, mincut.DEFAULT_BUDGET) == "tree"
+        cuts = enumerate_min_cuts(g).cuts
+        assert mincut._tree_scan_cuts(g, mincut._inseparable_groups(g)) == list(cuts)
+        assert edge_connectivity_subset(g) == mincut.MinCutResult(2, cuts[0])
 
 
 def _small_products():
@@ -324,89 +266,23 @@ def _small_products():
             yield p, _expected(p)
 
 
-def test_subset_witness_is_the_first_hit():
-    # the edge route's witness is the first tree-touching kappa'-subset, in
-    # lexicographic scan order, that disconnects, and its cut list is the
-    # max-flow one, at every budget that the plain rule lets it answer under;
-    # where the sides fit, the oracle's witness is the least minimum cut by
-    # sorted edge list
+def test_subset_witness_is_the_least_cut():
+    # whichever scan runs, the witness is the least minimum cut by sorted
+    # edge list and the cut list is the max-flow one, at every budget that a
+    # scan fits; under smaller budgets both oracles raise
+    scans = set()
     for p, expected in _small_products():
         for budget in BUDGETS:
             _check_budget_decision(p, budget, expected)
-
-
-def test_packing_checker_rejects_bad_walks():
-    # C_6 holds two edge-disjoint 0-3 walks, one each way round
-    assert mincut._is_packing(C6, 0, 3, [[0, 1, 2, 3], [0, 5, 4, 3]])
-    assert mincut._is_packing(C6, 0, 3, [])
-    for walks in ([[0, 1, 2, 3], [0, 1, 2, 3]],     # every edge reused
-                  [[0, 1, 2, 3], [0, 5, 4, 3, 2, 3]],  # 2-3 reused, reversed
-                  [[0, 1, 0, 5, 4, 3]],             # 0-1 reused within a walk
-                  [[0, 2, 3]],                      # 0-2 is no edge of C_6
-                  [[0, 5, 3]],                      # nor 3-5
-                  [[1, 2, 3]],                      # starts at 1
-                  [[0, 1, 2]],                      # ends at 2
-                  [[0]],                            # a walk that ended short
-                  [[]],
-                  [[0, 0, 1, 2, 3]],                # self-steps
-                  [[0, 1, 2, 3, 3]]):
-        assert not mincut._is_packing(C6, 0, 3, walks), walks
-
-
-def _overstated(real):
-    def flow(g, sources, t, limit=None):
-        value, reach, cap = real(g, sources, t, limit)
-        return value + 1, reach, cap
-    return flow
-
-
-def _every_arc_full(real):
-    # both arcs of every edge read as carrying flow
-    def flow(g, sources, t, limit=None):
-        value, reach, cap = real(g, sources, t, limit)
-        return value, reach, [dict.fromkeys(arcs, 0) for arcs in cap]
-    return flow
-
-
-def _shortcut(real):
-    # a flow arc from the first source straight to t, an edge or not
-    def flow(g, sources, t, limit=None):
-        sources = tuple(sources)
-        value, reach, cap = real(g, sources, t, limit)
-        cap[sources[0]].pop(t, None)
-        cap[sources[0]][t] = 0
-        return value, reach, cap
-    return flow
-
-
-@pytest.mark.parametrize("mutant", [_overstated, _every_arc_full, _shortcut])
-def test_subset_oracle_survives_a_faulty_max_flow(monkeypatch, mutant):
-    # the checker turns a faulty flow's packings down, so the scan starts
-    # lower; value, witness, cut list and budget decisions stay those of the
-    # plain scan
-    cases = list(_small_products())
-    rejected = []
-    real_check = mincut._is_packing
-
-    def counting_check(*args):
-        ok = real_check(*args)
-        rejected.append(not ok)
-        return ok
-
-    monkeypatch.setattr(mincut, "_unit_max_flow", mutant(mincut._unit_max_flow))
-    monkeypatch.setattr(mincut, "_is_packing", counting_check)
-    for p, expected in cases:
-        for budget in BUDGETS:
-            _check_budget_decision(p, budget, expected)
-    assert any(rejected)
+            scans.add(chosen_scan(p, budget))
+    assert scans == {None, "side", "tree"}
 
 
 @pytest.mark.parametrize("shift, fault", [(-1, "disagrees with the subset scan"),
                                           (1, "exceeds the checked lower bound")])
 def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, fault):
-    # a max-flow kappa' one off either way, so that it disagrees with the
-    # subset scan or exceeds the checked lower bound, changes neither the cut
-    # list nor the super edge connectivity check: kappa' comes from the scan
+    # a max-flow kappa' one off either way changes neither the cut list nor
+    # the super edge connectivity check: kappa' comes from the scan
     graphs = (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3)))
     want = [(enumerate_min_cuts(g), is_super_edge_connected(g)) for g in graphs]
     real = mincut.edge_connectivity
@@ -421,27 +297,31 @@ def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, fault):
 
 
 def test_cut_list_needs_no_max_flow_kappa(monkeypatch):
-    # kappa' comes from the scan: with the max-flow routes raising, the cut
-    # list and the super edge connectivity check answer as before, and the
-    # lists are the max-flow ones
-    graphs = (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3)))
-    want = [(enumerate_min_cuts_subset(g), is_super_edge_connected(g)) for g in graphs]
-    assert [cuts for cuts, _ in want] == [enumerate_min_cuts(g) for g in graphs]
-    assert [brute for _, brute in want] == [False, False, True, True]
+    # the subset oracle calls no max-flow: with every max-flow entry point
+    # raising, kappa', its witness, the cut list and the super edge
+    # connectivity check answer as before on graphs that take each scan, and
+    # the lists are the max-flow ones
+    graphs = (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3)),
+              cycle_graph(26), direct_product(cycle_graph(5), K4))
+    assert [chosen_scan(g, mincut.DEFAULT_BUDGET) for g in graphs] == [
+        "tree", "tree", "tree", "side", "tree", "side"]
+
+    def answers():
+        return [(edge_connectivity_subset(g), enumerate_min_cuts_subset(g),
+                 is_super_edge_connected(g)) for g in graphs]
+
+    want = answers()
+    assert [cuts for _, cuts, _ in want] == [enumerate_min_cuts(g) for g in graphs]
+    assert [res.value for res, _, _ in want] == [1, 2, 3, 4, 2, 6]
+    assert [brute for _, _, brute in want] == [False, False, True, True, False, True]
 
     def no_flow(*args, **kwargs):
-        raise AssertionError("max-flow kappa' called")
+        raise AssertionError("max-flow called")
 
-    for name in ("edge_connectivity", "enumerate_min_cuts", "min_st_cut", "_block_flows"):
+    for name in ("_unit_max_flow", "_block_flows", "min_st_cut",
+                 "edge_connectivity", "enumerate_min_cuts"):
         monkeypatch.setattr(mincut, name, no_flow)
-    assert [(enumerate_min_cuts_subset(g), is_super_edge_connected(g))
-            for g in graphs] == want
-
-
-def _matched_cliques(m, k):
-    """Two copies of K_m joined by the k-matching i -- m + i, i < k."""
-    two = disjoint_union(complete_graph(m), complete_graph(m))
-    return Graph(two.n, set(two.edges) | {(i, m + i) for i in range(k)})
+    assert answers() == want
 
 
 def _desk_products():
@@ -469,74 +349,6 @@ def test_block_flow_witness_is_the_sink_loop_one():
     assert len(graphs) == 1145
     for g in graphs:
         assert edge_connectivity(g) == _sink_loop(g), g
-
-
-def test_certified_lower_bound_is_exact_with_one_flow_per_extra_dominator(monkeypatch):
-    # Matula's lemma: kappa' = min(delta, lambda(d0, d) over the rest of a
-    # dominating set D), so the certificate needs |D| - 1 flows, none on K_n.
-    # Two cliques joined by a k-matching have kappa' = k < delta, so there
-    # the cross-cut flows decide the bound.
-    flows = []
-    real = mincut._unit_max_flow
-
-    def counting(*args, **kwargs):
-        flows.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(mincut, "_unit_max_flow", counting)
-    small = [g for n in range(2, 7) for g in connected_graphs(n)]
-    matched = [_matched_cliques(4, 1), _matched_cliques(5, 2)]
-    desk = _desk_products()
-    assert (len(small), len(desk)) == (142, 150)
-    sizes = []
-    for g in small + matched + desk:
-        dom = mincut._dominating_set(g)
-        assert mincut._dominates(g, dom) and dom[0] == 0
-        flows.clear()
-        bound = mincut._certified_lower_bound(g, g.min_degree())
-        assert flows == dom[1:], g
-        assert bound == edge_connectivity(g).value, g
-        sizes.append(len(dom))
-    assert [edge_connectivity(g).value for g in matched] == [1, 2]
-    assert max(sizes[-len(desk):]) == 6
-    for n in range(2, 8):
-        flows.clear()
-        assert mincut._certified_lower_bound(complete_graph(n), n) == n - 1
-        assert flows == []
-
-
-def test_domination_checker_rejects_bad_sets():
-    # C_6: {0, 3} dominates, {0, 2} leaves vertex 4 undominated; empty sets
-    # and vertices outside the graph are turned down too
-    assert mincut._dominates(C6, [0, 3])
-    assert mincut._dominates(C6, [0, 3, 3])
-    for dom in ([], [0], [0, 2], [0, 3, 6], [-1, 0, 3]):
-        assert not mincut._dominates(C6, dom), dom
-
-
-def test_subset_oracle_survives_a_non_dominating_set(monkeypatch):
-    # vertex 0 of a direct product is never universal, so {0} alone does not
-    # dominate: the checker turns it down, the bound falls to 0 and the scan
-    # starts at level 1; every oracle answer stays that of the plain scan, and
-    # the cut list that of max-flow
-    cases = list(_small_products())
-    verdicts = []
-    real_check = mincut._dominates
-
-    def recording_check(*args):
-        verdicts.append(real_check(*args))
-        return verdicts[-1]
-
-    monkeypatch.setattr(mincut, "_dominating_set", lambda g: [0])
-    monkeypatch.setattr(mincut, "_dominates", recording_check)
-    for p, _ in cases:
-        assert mincut._certified_lower_bound(p, p.min_degree()) == 0
-    assert verdicts and not any(verdicts)
-    for p, expected in cases:
-        for budget in BUDGETS:
-            _check_budget_decision(p, budget, expected)
-    c4k3 = direct_product(cycle_graph(4), complete_graph(3))
-    assert _edge_route_cuts(c4k3, mincut.DEFAULT_BUDGET) == enumerate_min_cuts(c4k3)
 
 
 def test_enumerate_c6():
@@ -568,11 +380,12 @@ def test_enumerate_matches_naive_scan():
 
 
 def test_enumerate_budget_fallback():
-    # levels 1 and 2 of the 60 edges already count 1 + 60 + 1770 subsets, past
-    # the budget below kappa' = 6: no partial cut list is returned, while the
-    # max-flow engine needs no budget
+    # the 20 groups of C_5 x K_4 cost the side scan 57,344 words and the tree
+    # scan 43,795, both past the budget: no partial cut list is returned,
+    # while the max-flow engine needs no budget
     p = direct_product(cycle_graph(5), K4)
-    with pytest.raises(BudgetExceeded, match="1831 subsets \\(budget 1000\\)"):
+    assert scan_costs(p) == {"side": (57344, 656), "tree": (43795, 43795)}
+    with pytest.raises(BudgetExceeded, match="43795 words \\(budget 1000\\)"):
         enumerate_min_cuts_subset(p, budget=1000)
     assert len(enumerate_min_cuts(p).cuts) == 20  # the 20 vertex stars
 
@@ -618,10 +431,19 @@ def test_no_minimum_cut_splits_a_group():
 
 
 def test_side_scan_matches_max_flow_enumeration():
-    # the scan over unions of groups: the same cuts in the same order as the
-    # max-flow enumeration on the 995 catalog graphs and the 150 desk products
+    # both scans over unions of groups: the same cuts in the same order as
+    # the max-flow enumeration on the 995 catalog graphs and the 150 desk
+    # products.  The tree scan skips the 5 desk products whose tree scan is
+    # over the default budget, so that the oracle never runs it there: 25
+    # groups with delta 12 or 16, 9.7 to 16 million subsets each
+    skipped = 0
     for g, groups, cuts in _catalog_and_desk_cuts():
         assert mincut._side_scan_cuts(g, groups) == list(cuts), g
+        if scan_costs(g)["tree"][0] > mincut.DEFAULT_BUDGET:
+            skipped += 1
+            continue
+        assert mincut._tree_scan_cuts(g, groups) == list(cuts), g
+    assert skipped == 5
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,7 +451,9 @@ def test_side_scan_matches_max_flow_enumeration():
 def test_grouped_side_scan_matches_max_flow_enumeration(g):
     groups = mincut._inseparable_groups(g)
     assert len(groups) == group_count(g)
-    assert mincut._side_scan_cuts(g, groups) == list(enumerate_min_cuts(g).cuts)
+    cuts = list(enumerate_min_cuts(g).cuts)
+    assert mincut._side_scan_cuts(g, groups) == cuts
+    assert mincut._tree_scan_cuts(g, groups) == cuts
 
 
 def test_enumeration_matches_subset_scan_on_products():
