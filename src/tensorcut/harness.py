@@ -74,7 +74,7 @@ class CampaignConfig:
     """What to verify and over which corpus.
 
     Sources are "enumerate" (internal non-isomorphic generation), a
-    "random:COUNT[:MINDEG]" draw, or a path to a graph6 file.
+    "random:COUNT[:MINDEG]" draw (COUNT >= 1), or a path to a graph6 file.
     ``enumeration_budget`` is the most 64-bit words that one subset-oracle
     scan may touch per pair; only ``oracle = subset`` reads it.
     """
@@ -178,8 +178,9 @@ def _parse_source(src: str) -> tuple:
         return ("enumerate",)
     if src.startswith("random:"):
         parts = src.split(":")[1:]
-        if len(parts) > 2 or not all(p.isdecimal() for p in parts):
-            raise ValueError(f"bad random source {src!r}: expected random:COUNT[:MINDEG]")
+        if len(parts) > 2 or not all(p.isdecimal() for p in parts) or int(parts[0]) < 1:
+            raise ValueError(
+                f"bad random source {src!r}: expected random:COUNT[:MINDEG], COUNT >= 1")
         return ("random", int(parts[0]), int(parts[1]) if len(parts) == 2 else None)
     return ("file", src)
 

@@ -97,7 +97,7 @@ def test_config_errors_name_their_source():
     with pytest.raises(ValueError, match="line 2: max_g_order") as err:
         parse_config("seed = 1\nmax_g_order = x\n")
     assert "invalid literal" not in str(err.value)
-    for source in ("random:", "random:x", "random:1:2:3"):
+    for source in ("random:", "random:x", "random:1:2:3", "random:0", "random:0:2"):
         with pytest.raises(ValueError, match=f"bad random source '{source}'"):
             CampaignConfig(g_source=source)
         with pytest.raises(ValueError, match=f"bad random source '{source}'"):

@@ -74,6 +74,21 @@ def test_min_st_cut_rejects_bad_terminals():
             min_st_cut(K4, s, t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(graphs_st(min_n=1, max_n=12), st.data())
+def test_boundary_is_the_edges_with_one_end_in_the_side(g, data):
+    full = (1 << g.n) - 1
+    side = data.draw(st.one_of(
+        st.sampled_from([0, full]),
+        st.integers(0, g.n - 1).map(lambda v: 1 << v),
+        st.integers(0, g.n - 1).map(lambda v: full ^ 1 << v),
+        st.integers(0, full)))
+    inside = {v for v in range(g.n) if side >> v & 1}
+    expected = frozenset((u, v) for u, v in g.edges if (u in inside) != (v in inside))
+    assert mincut._boundary(g, side) == expected
+    assert mincut._boundary(g, full ^ side) == expected
+
+
 def test_edge_connectivity_trivial_and_disconnected():
     with pytest.raises(ValueError):
         edge_connectivity(Graph(1))
