@@ -7,10 +7,9 @@ same edge set under identical numbering.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -20,6 +19,30 @@ def edge(u: int, v: int) -> Edge:
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
+
+
+def closure(start: int, arcs: Sequence[int]) -> int:
+    """The vertices reachable from the bitmask ``start`` along ``arcs``
+    (per-vertex successor bitmasks), as a bitmask."""
+    seen = frontier = start
+    while frontier:
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = arcs[v] & ~seen
+        seen |= new
+        frontier |= new
+    return seen
+
+
+def components(arcs: Sequence[int]) -> list[int]:
+    """The closures of symmetric ``arcs`` on the vertices 0..len(arcs)-1, each
+    from the least vertex that no earlier one reached: the connected
+    components, as bitmasks in order of their least vertex."""
+    left, comps = (1 << len(arcs)) - 1, []
+    while left:
+        comps.append(closure(left & -left, arcs))
+        left &= ~comps[-1]
+    return comps
 
 
 @dataclass(frozen=True)
@@ -79,61 +102,31 @@ class Graph:
         return edge(u, v) in self.edges
 
     def component_labels(self) -> list[int]:
-        """Label each vertex with the index of its connected component."""
-        labels = [-1] * self.n
-        comp = 0
-        for start in range(self.n):
-            if labels[start] != -1:
-                continue
-            labels[start] = comp
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if labels[w] == -1:
-                        labels[w] = comp
-                        queue.append(w)
-            comp += 1
+        """Label each vertex with the index of its connected component, the
+        components in order of their least vertex."""
+        labels = [0] * self.n
+        for label, comp in enumerate(components(self.adjacency_masks)):
+            while comp:
+                labels[(comp & -comp).bit_length() - 1] = label
+                comp &= comp - 1
         return labels
 
     def component_count(self) -> int:
-        labels = self.component_labels()
-        return max(labels) + 1 if labels else 0
+        return len(components(self.adjacency_masks))
 
     def is_connected(self) -> bool:
-        """One traversal from vertex 0 reaches everything. K_1 is connected."""
+        """The closure of vertex 0 is every vertex. K_1 is connected."""
         if self.n == 0:
             raise ValueError("connectivity undefined for the empty graph")
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
+        return closure(1, self.adjacency_masks) == (1 << self.n) - 1
 
     def is_bipartite(self) -> bool:
-        """Proper 2-colorability, decided per connected component."""
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
+        """No odd cycle: in the bipartite double cover G x K_2, where vertex v
+        has the copies v and v + n, no component holds both copies of a
+        vertex."""
+        n, adj = self.n, self.adjacency_masks
+        cover = [a << n for a in adj] + list(adj)
+        return not any(comp >> n & comp for comp in components(cover))
 
 
 def remove_edges(g: Graph, cut: Iterable[Edge]) -> Graph:

@@ -152,15 +152,18 @@ def load_config(path: str) -> CampaignConfig:
 # ---------------------------------------------------------------------------
 # Corpus generation.
 
+_SAMPLING_TRIES = 200_000
+
+
 def random_graph_with_min_degree(
     n: int, min_degree: int, rng: random.Random,
     keep: Callable[[Graph], bool] = lambda g: True,
 ) -> Graph:
     """Rejection-sample a uniform-ish random graph that meets a degree floor
-    and that ``keep`` accepts."""
+    and that ``keep`` accepts; ValueError when no draw does."""
     if min_degree > n - 1:
         raise ValueError(f"infeasible degree constraint: {min_degree} on {n} vertices")
-    for _ in range(200000):
+    for _ in range(_SAMPLING_TRIES):
         edges = {
             (u, v)
             for u in range(n)
@@ -170,7 +173,9 @@ def random_graph_with_min_degree(
         g = Graph(n, edges)
         if (n == 0 or g.min_degree() >= min_degree) and keep(g):
             return g
-    raise RuntimeError("rejection sampling failed to meet the degree constraint")
+    raise ValueError(f"rejection sampling found no graph on {n} vertices with minimum "
+                     f"degree >= {min_degree} that the corpus accepts in "
+                     f"{_SAMPLING_TRIES} draws")
 
 
 def _parse_source(src: str) -> tuple:
@@ -475,22 +480,37 @@ class VerificationReport:
         return 0
 
 
+# The second factors of each check, drawn from the h_source on 3..max_h_order.
+_SECOND_FACTOR = {"theorem1": "dense graph", "corollary1": "complete graph",
+                  "theorem2": "dense graph", "corollary2": "complete graph",
+                  "weichsel": "graph", "lemma2": "dense graph"}
+
+
 def run_campaign(config: CampaignConfig) -> VerificationReport:
     """Records come check by check, each check numbering its pairs G-major.
 
     The loop runs G outermost, so the checks share each pair's context and
-    it lives only while its G is current.
+    it lives only while its G is current.  A campaign in which some check
+    would get no pair is bad input: ValueError names the check and the
+    source that left it without a factor.
     """
     g_list = _g_corpus(config)
+    if not g_list:
+        raise ValueError(f"no first factor for {', '.join(config.checks)}: g_source "
+                         f"{config.g_source!r} holds no connected graph on "
+                         f"2..{config.max_g_order} vertices")
     h_dense = _h_corpus(config, dense_only=True)
-    h_complete = [h for h in h_dense if h == complete_graph(h.n)]
-    h_all = _h_corpus(config, dense_only=False) if "weichsel" in config.checks else []
-    second_factors = {
-        check: h_all if check == "weichsel"
-        else h_complete if check in ("corollary1", "corollary2")
-        else h_dense
-        for check in config.checks
+    by_kind = {
+        "dense graph": h_dense,
+        "complete graph": [h for h in h_dense if h == complete_graph(h.n)],
+        "graph": _h_corpus(config, dense_only=False) if "weichsel" in config.checks else [],
     }
+    second_factors = {check: by_kind[_SECOND_FACTOR[check]] for check in config.checks}
+    for check, hs in second_factors.items():
+        if not hs:
+            raise ValueError(f"no second factor for {check}: h_source "
+                             f"{config.h_source!r} holds no {_SECOND_FACTOR[check]} on "
+                             f"3..{config.max_h_order} vertices")
     per_check: dict[str, list[dict]] = {check: [] for check in config.checks}
     for g in g_list:
         pairs: dict[Graph, _Pair] = {}

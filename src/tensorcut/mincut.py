@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Edge, Graph, edge
+from .graphs import Edge, Graph, closure, components, edge
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -157,19 +157,6 @@ def _disconnected_cut(g: Graph) -> Optional[MinCutResult]:
 # ---------------------------------------------------------------------------
 # Exact kappa' and all minimum cuts by block flows (Picard-Queyranne).
 
-def _closure(start: int, arcs: list[int]) -> int:
-    """The vertices reachable from the bitmask ``start`` along ``arcs``
-    (per-vertex successor bitmasks), as a bitmask."""
-    seen = frontier = start
-    while frontier:
-        v = (frontier & -frontier).bit_length() - 1
-        frontier &= frontier - 1
-        new = arcs[v] & ~seen
-        seen |= new
-        frontier |= new
-    return seen
-
-
 def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int]:
     """Every vertex set, as a bitmask, that contains the bitmask ``block``,
     avoids t and is closed under the residual arcs ``cap`` of a maximum flow
@@ -187,7 +174,7 @@ def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int
                 succ[u] |= 1 << w
                 pred[w] |= 1 << u
     full = (1 << n) - 1
-    stack = [(_closure(block, succ), _closure(1 << t, pred))]
+    stack = [(closure(block, succ), closure(1 << t, pred))]
     while stack:
         inside, outside = stack.pop()
         free = full & ~(inside | outside)
@@ -195,8 +182,8 @@ def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int
             yield inside
             continue
         v = free & -free
-        stack.append((inside, outside | _closure(v, pred)))
-        stack.append((inside | _closure(v, succ), outside))
+        stack.append((inside, outside | closure(v, pred)))
+        stack.append((inside | closure(v, succ), outside))
 
 
 def _block_flows(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int, list]]]:
@@ -259,8 +246,8 @@ def enumerate_min_cuts(g: Graph) -> CutEnumeration:
 
 def _inseparable_groups(g: Graph) -> list[int]:
     """Vertex groups, as bitmasks in order of their least vertex, that no
-    minimum cut of g splits: u and v share a group when [uv in E] + |N(u) &
-    N(v)| > delta(g), closed transitively.
+    minimum cut of g splits: the components of the symmetric relation that
+    pairs u and v when [uv in E] + |N(u) & N(v)| > delta(g).
 
     The edge uv and one path through each common neighbour are edge-disjoint
     u-v paths, so every cut that separates u from v has more than delta >=
@@ -268,24 +255,14 @@ def _inseparable_groups(g: Graph) -> list[int]:
     efficient algorithm for the minimum capacity cut problem", 1990).  Reads
     only degrees and adjacency masks.
     """
-    adj, delta = g.adjacency_masks, g.min_degree()
-    root = list(range(g.n))  # union-find, each root the least vertex of its group
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
+    n, adj, delta = g.n, g.adjacency_masks, g.min_degree()
+    pairs = [0] * n  # per vertex, the vertices that the rule pairs it with
+    for u in range(n):
+        for v in range(u + 1, n):
             if (adj[u] >> v & 1) + (adj[u] & adj[v]).bit_count() > delta:
-                a, b = find(u), find(v)
-                root[max(a, b)] = min(a, b)
-    groups: dict[int, int] = {}
-    for v in range(g.n):
-        r = find(v)
-        groups[r] = groups.get(r, 0) | 1 << v
-    return list(groups.values())
+                pairs[u] |= 1 << v
+                pairs[v] |= 1 << u
+    return components(pairs)
 
 
 def _side_layout(g: Graph, k: int) -> tuple[int, int]:

@@ -30,6 +30,20 @@ def connected_graphs(draw, min_n: int = 2, max_n: int = 7):
     return Graph(n, base | set(extra))
 
 
+@st.composite
+def broken_paths(draw, max_n: int = 130):
+    """A path through every vertex in a random order, cut in a few places,
+    plus a few chords: components of any size, bipartite or not, whose
+    vertices lie far apart in the bitmasks."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    cuts = draw(st.frozensets(st.integers(0, max(n - 2, 0)), max_size=6))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=4))
+    edges = {edge(order[i], order[i + 1]) for i in range(n - 1) if i not in cuts}
+    return Graph(n, edges | {edge(u, v) for u, v in chords if u != v})
+
+
 def dense_factors(max_n: int = 6):
     """Every enumerated graph with 2*delta > n, up to the given order."""
     pool = [

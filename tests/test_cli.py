@@ -3,12 +3,13 @@ import json
 
 import pytest
 
-from tensorcut import cli
+from tensorcut import cli, harness
 from tensorcut.cli import main
 from tensorcut.dense import exceptional_cut, exceptional_member
 from tensorcut.graph6 import emit_graph6, parse_graph6
 from tensorcut.graphs import complete_graph, cycle_graph
 from tensorcut.product import direct_product, format_product_cut
+from test_harness import vacuous_configs
 
 
 @pytest.fixture
@@ -175,6 +176,35 @@ def test_verify_overrides_and_output(tmp_path, capsys):
     text = out_path.read_text()
     assert text.startswith("record,")
     assert "inconclusive" in text
+
+
+def test_verify_vacuous_campaign_exits_2(tmp_path, capsys):
+    # a campaign in which some check would get no pair is bad input
+    cfg = tmp_path / "c.cfg"
+    for config, message in vacuous_configs(tmp_path):
+        cfg.write_text(f"g_source = {config.g_source}\nh_source = {config.h_source}\n"
+                       f"max_g_order = {config.max_g_order}\n"
+                       f"max_h_order = {config.max_h_order}\n"
+                       f"checks = {', '.join(config.checks)}\n")
+        assert main(["verify", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_verify_sampling_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # dense graphs on many vertices are rare among uniform draws, so the
+    # sampler gives up: at order 16 after 200000 draws (about 10 s), at
+    # order 10 after 2000
+    monkeypatch.setattr(harness, "_SAMPLING_TRIES", 2000)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("h_source = random:1\nmax_g_order = 2\nmax_h_order = 16\n"
+                   "checks = theorem1\n")
+    assert main(["verify", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rejection sampling found no graph on ")
+    assert "with minimum degree >= 0 that the corpus accepts in 2000 draws" in captured.err
 
 
 def test_verify_without_config_uses_defaults(tmp_path, capsys):

@@ -1,7 +1,8 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from strategies import graphs
+from strategies import broken_paths, graphs
 from tensorcut.catalog import all_graphs
 from tensorcut.graphs import (
     Graph,
@@ -129,6 +130,39 @@ def test_bipartite_matches_bruteforce_exhaustively():
 @given(graphs(max_n=8))
 def test_bipartite_matches_bruteforce_random(g):
     assert g.is_bipartite() == _bipartite_bruteforce(g)
+
+
+def _check_traversal(g: Graph) -> None:
+    # components, connectivity and bipartiteness against networkx
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    labels = g.component_labels()
+    parts = {frozenset(v for v in range(g.n) if labels[v] == c) for c in set(labels)}
+    assert parts == {frozenset(c) for c in nx.connected_components(nxg)}
+    # labels number the components in order of their least vertex
+    assert list(dict.fromkeys(labels)) == list(range(len(parts)))
+    assert g.component_count() == len(parts)
+    assert g.is_connected() == nx.is_connected(nxg)
+    assert g.is_bipartite() == nx.is_bipartite(nxg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(broken_paths(max_n=130))
+def test_traversal_matches_networkx(g):
+    _check_traversal(g)
+
+
+@pytest.mark.parametrize("n", [70, 130])
+def test_traversal_on_long_paths_and_cycles(n):
+    # the masks, and the double cover's 2n bits, span several 64-bit words;
+    # the last odd cycle lies wholly above the first word
+    low_odd = disjoint_union(cycle_graph(n - 1), Graph(1))
+    high_odd = disjoint_union(path_graph(65), cycle_graph(n - 65))
+    for g, count, bipartite in [(path_graph(n), 1, True), (cycle_graph(n), 1, True),
+                                (low_odd, 2, False), (high_odd, 2, False)]:
+        _check_traversal(g)
+        assert (g.component_count(), g.is_bipartite()) == (count, bipartite)
 
 
 @given(graphs(max_n=6))

@@ -20,7 +20,7 @@ from tensorcut.dense import (
     kappa_formula,
 )
 from tensorcut.graph6 import emit_graph6, parse_graph6
-from tensorcut.graphs import complete_graph, disjoint_union, path_graph
+from tensorcut.graphs import complete_graph, cycle_graph, disjoint_union, path_graph, remove_edges
 from tensorcut.harness import (
     CHECK_NAMES,
     CampaignConfig,
@@ -172,6 +172,46 @@ def test_random_infeasible_degree():
 
     with pytest.raises(ValueError):
         random_graph_with_min_degree(3, 5, random.Random(0))
+
+
+def test_sampling_failure_is_bad_input():
+    import random
+
+    with pytest.raises(ValueError, match="no graph on 3 vertices with minimum degree >= 0"):
+        random_graph_with_min_degree(3, 0, random.Random(0), keep=lambda g: False)
+
+
+def vacuous_configs(tmp_path):
+    """(config, message) for campaigns in which a check would get no pair:
+    first factors only above max_g_order, second factors none of them dense,
+    and dense second factors none of them complete."""
+    files = {"k7": complete_graph(7), "c6": cycle_graph(6),
+             "k5e": remove_edges(complete_graph(5), [(0, 1)])}
+    for name, graph in files.items():
+        (tmp_path / f"{name}.g6").write_text(emit_graph6(graph) + "\n")
+    k7, c6, k5e = (str(tmp_path / f"{name}.g6") for name in files)
+    return [
+        (CampaignConfig(g_source=k7, max_g_order=5, checks=("theorem1",)),
+         f"no first factor for theorem1: g_source {k7!r} holds no connected "
+         "graph on 2..5 vertices"),
+        (CampaignConfig(h_source=c6, max_h_order=6, checks=("theorem1",)),
+         f"no second factor for theorem1: h_source {c6!r} holds no dense "
+         "graph on 3..6 vertices"),
+        (CampaignConfig(h_source=k5e, checks=("theorem1", "corollary1")),
+         f"no second factor for corollary1: h_source {k5e!r} holds no "
+         "complete graph on 3..5 vertices"),
+    ]
+
+
+def test_vacuous_campaign_is_bad_input(tmp_path):
+    # a campaign with 0 instances would pass without checking anything
+    for config, message in vacuous_configs(tmp_path):
+        with pytest.raises(ValueError) as exc:
+            run_campaign(config)
+        assert str(exc.value) == message
+    k5e = vacuous_configs(tmp_path)[2][0]
+    report = run_campaign(dataclasses.replace(k5e, checks=("theorem1",)))
+    assert report.summary["instances"] == 30  # connected G on 2..5 x K_5 - e
 
 
 def test_file_source(tmp_path):

@@ -293,8 +293,10 @@ def test_subset_witness_is_the_least_cut():
     assert scans == {None, "side", "tree"}
 
 
-@pytest.mark.parametrize("shift, fault", [(-1, "disagrees with the subset scan"),
-                                          (1, "exceeds the checked lower bound")])
+@pytest.mark.parametrize("shift, fault", [
+    (-1, "a max-flow kappa' one below the true value changed the subset answers"),
+    (1, "a max-flow kappa' one above the true value changed the subset answers")],
+    ids=("one_below", "one_above"))
 def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, fault):
     # a max-flow kappa' one off either way changes neither the cut list nor
     # the super edge connectivity check: kappa' comes from the scan
