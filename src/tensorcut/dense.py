@@ -18,6 +18,7 @@ from .graphs import (
     Graph,
     complement,
     complete_graph,
+    edge_set,
     empty_graph,
     join,
     matching_graph,
@@ -26,11 +27,9 @@ from .graphs import (
 from .mincut import edge_connectivity, is_vertex_star
 from .product import (
     ProductVertex,
-    check_product_cut,
     direct_product,
     induced_cut,
     lifted_edges,
-    vertex_id,
     vertex_pair,
 )
 
@@ -167,7 +166,7 @@ def classify_min_cut(g: Graph, h: Graph, cut: Iterable[Edge]) -> CutClass:
     if not dense_precondition(h):
         raise ValueError("classification requires 2*delta(h) > |h|")
     product = direct_product(g, h)
-    norm = check_product_cut(cut, product)
+    norm = edge_set(product, cut)
     expected = kappa_formula(g, h).value
     if len(norm) != expected:
         raise ValueError(
@@ -258,8 +257,5 @@ def exceptional_cut(l: int) -> tuple[Graph, frozenset[Edge]]:
     """
     h = exceptional_member(l)
     product = direct_product(complete_graph(2), h)
-    cut = set()
-    for u, v in _member_matching(l):
-        cut.add((vertex_id(0, u, h.n), vertex_id(1, v, h.n)))
-        cut.add((vertex_id(0, v, h.n), vertex_id(1, u, h.n)))
-    return product, check_product_cut(cut, product)
+    cut = lifted_edges((0, 1), complete_graph(2), Graph(h.n, _member_matching(l)))
+    return product, edge_set(product, cut)

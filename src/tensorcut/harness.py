@@ -46,7 +46,7 @@ from .dense import (
     kappa_formula_kn,
 )
 from .graph6 import emit_graph6, load_graph6_file, parse_graph6
-from .graphs import Edge, Graph, complete_graph, edge
+from .graphs import Edge, Graph, boundary, complete_graph
 from .mincut import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -159,16 +159,19 @@ def random_graph_with_min_degree(
     n: int, min_degree: int, rng: random.Random,
     keep: Callable[[Graph], bool] = lambda g: True,
 ) -> Graph:
-    """Rejection-sample a uniform-ish random graph that meets a degree floor
-    and that ``keep`` accepts; ValueError when no draw does."""
+    """Rejection-sample a random graph that meets a degree floor and that
+    ``keep`` accepts; ValueError when no draw does.  Edges have probability
+    1/2, or under a floor (floor + n - 1) / (2(n - 1)), for an expected degree
+    midway between the floor and n - 1."""
     if min_degree > n - 1:
         raise ValueError(f"infeasible degree constraint: {min_degree} on {n} vertices")
+    p = (min_degree + n - 1) / (2 * (n - 1)) if min_degree else 0.5
     for _ in range(_SAMPLING_TRIES):
         edges = {
             (u, v)
             for u in range(n)
             for v in range(u + 1, n)
-            if rng.random() < 0.5
+            if rng.random() < p
         }
         g = Graph(n, edges)
         if (n == 0 or g.min_degree() >= min_degree) and keep(g):
@@ -191,16 +194,17 @@ def _parse_source(src: str) -> tuple:
 
 
 def _corpus(source: str, orders: range, keep: Callable[[Graph], bool],
-            seed: int) -> list[Graph]:
+            seed: int, floor: Callable[[int], int] = lambda n: 0) -> list[Graph]:
     """The graphs of ``source`` whose order is in ``orders`` and that ``keep``
-    accepts, order by order; a random source draws ``seed``'s stream."""
+    accepts, order by order; a random source draws ``seed``'s stream, with a
+    degree floor of MINDEG or ``floor(n)``, whichever is larger."""
     kind, *args = _parse_source(source)
     if kind == "enumerate":
         return [g for n in orders for g in all_graphs(n) if keep(g)]
     if kind == "random":
         count, mindeg = args
         rng = random.Random(seed)
-        return [random_graph_with_min_degree(n, mindeg or 0, rng, keep)
+        return [random_graph_with_min_degree(n, max(mindeg or 0, floor(n)), rng, keep)
                 for n in orders for _ in range(count)]
     return [g for g in load_graph6_file(args[0]) if g.n in orders and keep(g)]
 
@@ -213,7 +217,7 @@ def _g_corpus(config: CampaignConfig) -> list[Graph]:
 def _h_corpus(config: CampaignConfig, dense_only: bool = True) -> list[Graph]:
     return _corpus(config.h_source, range(3, config.max_h_order + 1),
                    dense_precondition if dense_only else lambda h: True,
-                   config.seed + 1)
+                   config.seed + 1, lambda n: n // 2 + 1 if dense_only else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +337,10 @@ def _predicted_cuts(pair: _Pair, res: FormulaResult
     stars: frozenset[frozenset[Edge]] = frozenset()
     lifts: frozenset[frozenset[Edge]] = frozenset()
     if res.degree_bound == res.value:
-        product, dg, dh = pair.product, g.min_degree(), h.min_degree()
-        centers = [vertex_id(x, u, h.n)
-                   for x in range(g.n) if g.degree(x) == dg
-                   for u in range(h.n) if h.degree(u) == dh]
-        stars = frozenset(frozenset(edge(p, w) for w in product.neighbors(p))
-                          for p in centers)
+        dg, dh = g.min_degree(), h.min_degree()
+        stars = frozenset(boundary(pair.product, 1 << vertex_id(x, u, h.n))
+                          for x in range(g.n) if g.degree(x) == dg
+                          for u in range(h.n) if h.degree(u) == dh)
     if res.factor_cut_bound == res.value:
         lifts = frozenset(induced_cut(s, g, h) for s in enumerate_min_cuts(g).cuts)
     return stars, lifts

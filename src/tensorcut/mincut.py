@@ -38,7 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Edge, Graph, closure, components, edge
+from .graphs import Edge, Graph, boundary, closure, components, edge, edge_set
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -100,33 +100,6 @@ def _unit_max_flow(
     return flow, None, cap
 
 
-def _boundary(g: Graph, side: int) -> frozenset[Edge]:
-    """The edges of g with exactly one end in ``side``, a bitmask of
-    vertices of g.
-
-    Walks the vertices of the smaller of ``side`` and its complement, lowest
-    bit first, and emits each one's neighbours on the other side, read off
-    its adjacency mask: O(min(|S|, n - |S|) + |delta(S)|) big-int steps
-    rather than a pass over every edge.
-    """
-    adj, full = g.adjacency_masks, (1 << g.n) - 1
-    walk, far = side, full ^ side
-    if far.bit_count() < walk.bit_count():
-        walk, far = far, walk
-    cut = []
-    while walk:
-        low = walk & -walk
-        walk ^= low
-        u = low.bit_length() - 1
-        nbrs = adj[u] & far
-        while nbrs:
-            bit = nbrs & -nbrs
-            nbrs ^= bit
-            v = bit.bit_length() - 1
-            cut.append((u, v) if u < v else (v, u))
-    return frozenset(cut)
-
-
 def min_st_cut(
     g: Graph, s: int, t: int, limit: Optional[int] = None
 ) -> Optional[MinCutResult]:
@@ -142,7 +115,7 @@ def min_st_cut(
     flow, reach, _ = _unit_max_flow(g, (s,), t, limit)
     if reach is None:
         return None
-    witness = _boundary(g, reach)
+    witness = boundary(g, reach)
     assert len(witness) == flow
     return MinCutResult(flow, witness)
 
@@ -220,7 +193,7 @@ def edge_connectivity(g: Graph) -> MinCutResult:
     if trivial is not None:
         return trivial
     value, [(_, reach, _)] = _block_flows(g, ties=False)
-    return MinCutResult(value, _boundary(g, reach))
+    return MinCutResult(value, boundary(g, reach))
 
 
 def enumerate_min_cuts(g: Graph) -> CutEnumeration:
@@ -235,7 +208,7 @@ def enumerate_min_cuts(g: Graph) -> CutEnumeration:
     cuts = []
     for t, _, cap in attained:
         for side in _closed_sides(cap, (1 << t) - 1, t):
-            cut = _boundary(g, side)
+            cut = boundary(g, side)
             assert len(cut) == value
             cuts.append(cut)
     return CutEnumeration(tuple(sorted(cuts, key=sorted)))
@@ -350,7 +323,7 @@ def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
             state += (best - least) * ones
             best, sides = least, []
         sides.extend(side for value, side in found if value == best)
-    return sorted((_boundary(g, side) for side in sides), key=sorted)
+    return sorted((boundary(g, side) for side in sides), key=sorted)
 
 
 def _tree_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
@@ -472,19 +445,11 @@ def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnum
 
 
 def is_vertex_star(g: Graph, cut: Iterable[Edge]) -> Optional[int]:
-    """The vertex whose full incident edge set equals the cut, if any."""
-    norm = frozenset(edge(u, v) for u, v in cut)
-    stray = norm - g.edges
-    if stray:
-        raise ValueError(f"cut edges not in graph: {sorted(stray)}")
-    if not norm:
-        return None
-    it = iter(norm)
-    common = set(next(it))
-    for e in it:
-        common &= set(e)
-    for v in sorted(common):
-        if norm == frozenset(edge(v, w) for w in g.neighbors(v)):
+    """The least vertex whose incident edges are exactly the nonempty cut, if
+    any: a star's centre is an end of each of its edges, so of the least."""
+    norm = edge_set(g, cut)
+    for v in min(norm, default=()):
+        if norm == boundary(g, 1 << v):
             return v
     return None
 

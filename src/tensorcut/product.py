@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .graphs import Edge, Graph, edge, remove_edges
+from .graphs import Edge, Graph, edge, edge_set, remove_edges
 
 
 class ProductVertex(NamedTuple):
@@ -33,17 +33,23 @@ def fiber(x: int, h_order: int) -> range:
     return range(x * h_order, (x + 1) * h_order)
 
 
+def _lift(g_edges: Iterable[Edge], h: Graph) -> ProductEdgeCut:
+    """The product edges (x,u)(y,v) and (x,v)(y,u) above given g-edges xy and
+    every h-edge uv; with x < y, each is already in (min, max) form."""
+    nh = h.n
+    out = set()
+    for x, y in g_edges:
+        for u, v in h.edges:
+            out.add((x * nh + u, y * nh + v))
+            out.add((x * nh + v, y * nh + u))
+    return frozenset(out)
+
+
 def direct_product(g: Graph, h: Graph) -> Graph:
     """(x,u) ~ (y,v) exactly when xy is a g-edge and uv is an h-edge."""
     if g.n < 1 or h.n < 1:
         raise ValueError("direct product requires nonempty factors")
-    nh = h.n
-    edges = set()
-    for x, y in g.edges:
-        for u, v in h.edges:
-            edges.add(edge(vertex_id(x, u, nh), vertex_id(y, v, nh)))
-            edges.add(edge(vertex_id(x, v, nh), vertex_id(y, u, nh)))
-    return Graph(g.n * h.n, edges)
+    return Graph(g.n * h.n, _lift(g.edges, h))
 
 
 def product_connected(g: Graph, h: Graph) -> bool:
@@ -66,12 +72,7 @@ def lifted_edges(g_edge: Edge, g: Graph, h: Graph) -> ProductEdgeCut:
     x, y = edge(*g_edge)
     if (x, y) not in g.edges:
         raise ValueError(f"({x},{y}) is not an edge of the first factor")
-    nh = h.n
-    out = set()
-    for u, v in h.edges:
-        out.add(edge(vertex_id(x, u, nh), vertex_id(y, v, nh)))
-        out.add(edge(vertex_id(x, v, nh), vertex_id(y, u, nh)))
-    return frozenset(out)
+    return _lift([(x, y)], h)
 
 
 def induced_cut(s0: Iterable[Edge], g: Graph, h: Graph) -> ProductEdgeCut:
@@ -81,32 +82,13 @@ def induced_cut(s0: Iterable[Edge], g: Graph, h: Graph) -> ProductEdgeCut:
     """
     if not h.edges:
         raise ValueError("induced cuts need a factor with at least one edge")
-    out: set[Edge] = set()
-    for e in s0:
-        out |= lifted_edges(e, g, h)
-    return frozenset(out)
-
-
-def check_product_cut(cut: Iterable[Edge], product: Graph) -> ProductEdgeCut:
-    """Normalize a cut and verify every edge lies in the ambient product."""
-    norm = frozenset(edge(u, v) for u, v in cut)
-    stray = norm - product.edges
-    if stray:
-        raise ValueError(f"cut edges not in the product: {sorted(stray)}")
-    return norm
+    return _lift(edge_set(g, s0), h)
 
 
 def fibers_contained(g: Graph, h: Graph, cut: Iterable[Edge]) -> bool:
     """Does every fiber stay inside one component of the product minus the cut?"""
-    product = direct_product(g, h)
-    norm = check_product_cut(cut, product)
-    labels = remove_edges(product, norm).component_labels()
-    nh = h.n
-    for x in range(g.n):
-        block = labels[x * nh:(x + 1) * nh]
-        if block.count(block[0]) != nh:
-            return False
-    return True
+    labels = remove_edges(direct_product(g, h), cut).component_labels()
+    return all(len(set(labels[x * h.n:(x + 1) * h.n])) == 1 for x in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +104,8 @@ def format_product_cut(cut: Iterable[Edge], h_order: int) -> str:
 
 
 def parse_product_cut(text: str, h_order: int) -> ProductEdgeCut:
+    """A cut file's edges; ValueError on a line that is not two points x,u
+    with x >= 0 and 0 <= u < h_order, as x*h_order + u would alias another."""
     out = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -131,6 +115,8 @@ def parse_product_cut(text: str, h_order: int) -> ProductEdgeCut:
             left, right = line.split()
             x, u = (int(t) for t in left.split(","))
             y, v = (int(t) for t in right.split(","))
+            if min(x, y) < 0 or not (0 <= u < h_order and 0 <= v < h_order):
+                raise ValueError("coordinate out of range")
         except ValueError as exc:
             raise ValueError(f"bad cut line {lineno}: {raw!r}") from exc
         out.add(edge(vertex_id(x, u, h_order), vertex_id(y, v, h_order)))

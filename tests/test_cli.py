@@ -95,6 +95,19 @@ def test_classify_rejects_non_minimum(g6_files, tmp_path, capsys):
     assert "minimum" in err
 
 
+def test_classify_rejects_out_of_range_coordinates(g6_files, tmp_path, capsys):
+    # with |H| = 3, the point (0,3) would alias (1,0) and make these two lines
+    # the exceptional cut (1,0)-(0,1), (1,1)-(0,0) of K_2 x K_3
+    k2 = g6_files("k2.g6", complete_graph(2))
+    k3 = g6_files("k3.g6", complete_graph(3))
+    cut_path = tmp_path / "cut.txt"
+    cut_path.write_text("0,3 0,1\n0,4 0,0\n")
+    assert main(["classify", k2, k3, str(cut_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad cut line 1: '0,3 0,1'")
+
+
 def test_super_command(g6_files, capsys):
     c4 = g6_files("c4.g6", cycle_graph(4))
     code, payload = run_json(capsys, ["super", c4, "3", "--brute"])
@@ -193,10 +206,10 @@ def test_verify_vacuous_campaign_exits_2(tmp_path, capsys):
 
 
 def test_verify_sampling_failure_exits_2(tmp_path, capsys, monkeypatch):
-    # dense graphs on many vertices are rare among uniform draws, so the
-    # sampler gives up: at order 16 after 200000 draws (about 10 s), at
-    # order 10 after 2000
-    monkeypatch.setattr(harness, "_SAMPLING_TRIES", 2000)
+    # about 2 in 3 draws of a dense H on 5 to 16 vertices pass the dense
+    # filter, so with one draw per graph the sampler gives up: on seed 0's
+    # H stream, at order 5, whose floor is 5 // 2 + 1
+    monkeypatch.setattr(harness, "_SAMPLING_TRIES", 1)
     cfg = tmp_path / "c.cfg"
     cfg.write_text("h_source = random:1\nmax_g_order = 2\nmax_h_order = 16\n"
                    "checks = theorem1\n")
@@ -204,7 +217,8 @@ def test_verify_sampling_failure_exits_2(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: rejection sampling found no graph on ")
-    assert "with minimum degree >= 0 that the corpus accepts in 2000 draws" in captured.err
+    assert ("on 5 vertices with minimum degree >= 3 that the corpus accepts in 1 draws"
+            in captured.err)
 
 
 def test_verify_without_config_uses_defaults(tmp_path, capsys):

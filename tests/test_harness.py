@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import platform
+import time
 from collections import Counter
 
 import pytest
@@ -165,6 +166,20 @@ def test_random_sources_reproducible():
     hb = [emit_graph6(h) for h in _h_corpus(cfg)]
     assert ha == hb
     assert all(dense_precondition(h) for h in _h_corpus(cfg))
+
+
+def test_random_dense_factors_reach_order_16():
+    # each edge is drawn with probability (floor + n - 1) / (2(n - 1)), the
+    # floor n // 2 + 1 of a dense H, so a draw passes the filter often
+    cfg = CampaignConfig(h_source="random:2", max_g_order=2, max_h_order=16, seed=3)
+    t0 = time.perf_counter()
+    hs = _h_corpus(cfg)
+    assert time.perf_counter() - t0 < 1.0
+    assert [h.n for h in hs] == [n for n in range(3, 17) for _ in range(2)]
+    assert all(dense_precondition(h) for h in hs)
+    assert [emit_graph6(h) for h in _h_corpus(cfg)] == [emit_graph6(h) for h in hs]
+    other = dataclasses.replace(cfg, seed=4)
+    assert [emit_graph6(h) for h in _h_corpus(other)] != [emit_graph6(h) for h in hs]
 
 
 def test_random_infeasible_degree():

@@ -19,8 +19,11 @@ from tensorcut.catalog import all_graphs, connected_graphs
 from tensorcut.dense import dense_precondition
 from tensorcut.graphs import (
     Graph,
+    boundary,
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    matching_graph,
     path_graph,
     remove_edges,
 )
@@ -85,8 +88,8 @@ def test_boundary_is_the_edges_with_one_end_in_the_side(g, data):
         st.integers(0, full)))
     inside = {v for v in range(g.n) if side >> v & 1}
     expected = frozenset((u, v) for u, v in g.edges if (u in inside) != (v in inside))
-    assert mincut._boundary(g, side) == expected
-    assert mincut._boundary(g, full ^ side) == expected
+    assert boundary(g, side) == expected
+    assert boundary(g, full ^ side) == expected
 
 
 def test_edge_connectivity_trivial_and_disconnected():
@@ -518,6 +521,26 @@ def test_is_vertex_star():
     assert is_vertex_star(C6, frozenset()) is None
     with pytest.raises(ValueError):
         is_vertex_star(C6, {(0, 2)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs_st(min_n=1, max_n=7), st.data())
+def test_is_vertex_star_is_the_least_centre_of_the_cut(g, data):
+    # an isolated vertex (empty star, which is no star) and a K_2 component
+    # (two centres, the lower one answers) beside a random graph
+    g = disjoint_union(disjoint_union(g, matching_graph(1)), Graph(1))
+    edges = sorted(g.edges)
+
+    def definition(cut):
+        centres = [v for v in range(g.n) if cut == {e for e in edges if v in e}]
+        return min(centres) if cut and centres else None
+
+    cuts = [boundary(g, 1 << v) for v in range(g.n)]
+    cuts += [frozenset([e]) for e in edges]
+    cuts += data.draw(st.lists(st.frozensets(st.sampled_from(edges)), max_size=10))
+    for cut in cuts:
+        assert is_vertex_star(g, cut) == definition(cut)
+        assert is_vertex_star(g, [(v, u) for u, v in cut]) == definition(cut)
 
 
 def test_super_edge_connected():

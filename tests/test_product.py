@@ -1,12 +1,20 @@
 import random
 from itertools import chain, combinations
 
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from strategies import dense_factors, graphs
 from tensorcut.catalog import all_graphs, is_isomorphic
-from tensorcut.graphs import Graph, complete_graph, cycle_graph, path_graph, remove_edges
+from tensorcut.graphs import (
+    Graph,
+    boundary,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    remove_edges,
+)
 from tensorcut.product import (
     direct_product,
     fiber,
@@ -65,6 +73,24 @@ def test_product_edge_count_and_degrees(g, h):
             assert p.degree(vertex_id(x, u, h.n)) == g.degree(x) * h.degree(u)
 
 
+@settings(max_examples=80)
+@given(graphs(min_n=1, max_n=6), graphs(min_n=1, max_n=6))
+@example(Graph(3), complete_graph(3))
+@example(complete_graph(3), Graph(2))
+@example(Graph(1), Graph(1))
+def test_product_equals_networkx_tensor_product(g, h):
+    nx_g, nx_h = nx.Graph(), nx.Graph()
+    nx_g.add_nodes_from(range(g.n))
+    nx_g.add_edges_from(g.edges)
+    nx_h.add_nodes_from(range(h.n))
+    nx_h.add_edges_from(h.edges)
+    ref = nx.tensor_product(nx_g, nx_h)
+    ids = {(x, u): vertex_id(x, u, h.n) for x, u in ref.nodes}
+    assert sorted(ids.values()) == list(range(g.n * h.n))
+    expected = {tuple(sorted((ids[a], ids[b]))) for a, b in ref.edges}
+    assert direct_product(g, h) == Graph(g.n * h.n, expected)
+
+
 def test_product_connected_exhaustive_small():
     for gn in range(2, 5):
         for hn in range(2, 5):
@@ -120,6 +146,17 @@ def test_induced_cut_removal_is_factor_deletion():
             assert left == right
 
 
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=5), dense_factors(max_n=5))
+def test_induced_cut_of_a_side_is_the_boundary_of_its_fibers(g, h):
+    # the lift of delta_G(S) is delta of the union of the fibers over S
+    product = direct_product(g, h)
+    fiber_mask = (1 << h.n) - 1
+    for side in range(1 << g.n):
+        fibers = sum(fiber_mask << x * h.n for x in range(g.n) if side >> x & 1)
+        assert induced_cut(boundary(g, side), g, h) == boundary(product, fibers)
+
+
 def test_fibers_contained_examples():
     assert fibers_contained(K2, K3, frozenset())
 
@@ -163,3 +200,11 @@ def test_cut_text_format_round_trip():
 def test_cut_text_format_bad_line():
     with pytest.raises(ValueError):
         parse_product_cut("0,1 nonsense", 3)
+    # coordinates outside the grid would alias other vertices: with |H| = 3,
+    # (0,3) would read as (1,0), and (-1,2) as (0,-1)
+    for text in ("0,3 0,1", "0,1 1,-1", "-1,2 0,1", "0,1 -1,0"):
+        with pytest.raises(ValueError, match="bad cut line 1"):
+            parse_product_cut(text, 3)
+    with pytest.raises(ValueError, match="bad cut line 2"):
+        parse_product_cut("0,0 1,1\n0,4 0,0", 3)
+    assert parse_product_cut("0,2 1,0", 3) == {(2, 3)}

@@ -36,18 +36,51 @@ def test_checks_list_drops_empty_items(tmp_path):
     assert (tmp_path / "verification_report.jsonl").exists()
 
 
-def test_benchmark_tracer_names_resolve():
-    # the benchmark's tracer wraps package functions by (module, name), and a
-    # name that is gone breaks its per-layer run; the tracer is loaded from
-    # its file, unchanged, and needs only the standard library
+def load_tracer():
+    """The benchmark's tracer, loaded from its file, unchanged; it needs only
+    the standard library."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     import tensorcut  # noqa: F401  loads every module the tracer names
+    return tracer
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark's tracer wraps package functions by (module, name), and a
+    # name that is gone breaks its per-layer run
+    tracer = load_tracer()
 
     missing = [(module, name) for module, name in [*tracer.TRACED, tracer.CHECK_TABLE]
                if not hasattr(sys.modules.get(module), name)]
     assert missing == []
     module, name = tracer.CHECK_TABLE
     assert set(getattr(sys.modules[module], name)) == set(tracer.CHECK_NAMES)
+
+
+def test_benchmark_tracer_runs_a_campaign():
+    # a moved entry point or a changed result type breaks the traced run
+    # that the benchmark makes, so one small campaign runs traced here
+    from tensorcut import harness, mincut
+
+    config = harness.CampaignConfig(max_g_order=3, max_h_order=4,
+                                    checks=harness.CHECK_NAMES)
+
+    def records():
+        return [{k: v for k, v in rec.items() if k != "ms"}
+                for rec in harness.run_campaign(config).records]
+
+    untraced = records()
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        traced = records()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    metrics = tracer.metrics()
+    for counter in ("mincut.star.calls", "mincut.enum.calls", "product.calls"):
+        assert metrics[counter] > 0, counter
+    assert harness.enumerate_min_cuts is mincut.enumerate_min_cuts
+    assert not any(hasattr(fn, "__wrapped__") for fn in harness._CHECK_FUNCS.values())
