@@ -115,7 +115,7 @@ def _cmd_classify(args, reader: _GraphReader) -> int:
     g = reader.read(args.g)
     h = reader.read(args.h)
     with open(args.cut, encoding="ascii") as fh:
-        cut = parse_product_cut(fh.read(), h.n)
+        cut = parse_product_cut(fh.read(), g.n, h.n)
     try:
         verdict = classify_min_cut(g, h, cut)
     except CutClassificationError as exc:

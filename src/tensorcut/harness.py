@@ -118,8 +118,10 @@ def parse_checks(text: str) -> tuple[str, ...]:
 
 
 def parse_config(text: str) -> CampaignConfig:
-    """Flat key=value config text; '#' lines are comments."""
+    """Flat key=value config text; '#' lines are comments, and a key may be
+    set once."""
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}  # per key, the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -128,6 +130,9 @@ def parse_config(text: str) -> CampaignConfig:
             raise ValueError(f"config line {lineno} is not key=value: {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in set_on:
+            raise ValueError(f"config lines {set_on[key]} and {lineno} both set {key}")
+        set_on[key] = lineno
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)
@@ -591,7 +596,7 @@ def replay_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> dict:
     out = {"check": check, **rec, "reproduced": rec["status"] == "mismatch"}
     if check == "theorem2" and "cut" in cert:
         try:
-            verdict = _classify(pair, parse_product_cut(cert["cut"], pair.h.n))
+            verdict = _classify(pair, parse_product_cut(cert["cut"], pair.g.n, pair.h.n))
             out["verdict"] = "unclassifiable" if verdict is None else verdict.value
         except ValueError as exc:
             out["verdict"] = str(exc)

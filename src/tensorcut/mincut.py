@@ -245,6 +245,27 @@ def _side_layout(g: Graph, k: int) -> tuple[int, int]:
     return min(k, k // 2 + 2), len(g.edges).bit_length() + 1
 
 
+def _quotient(g: Graph, groups: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The quotient of g by its vertex ``groups``: each vertex's group index,
+    found by walking each group's bits, and the k x k table of the number of
+    edges between two groups, filled in one pass over the edges.  The table
+    is symmetric with a zero diagonal, and a group's row sum is its degree
+    |delta(group)|."""
+    group = [0] * g.n
+    for i, grp in enumerate(groups):
+        while grp:
+            low = grp & -grp
+            grp ^= low
+            group[low.bit_length() - 1] = i
+    weight = [[0] * len(groups) for _ in groups]
+    for u, v in g.edges:
+        a, b = group[u], group[v]
+        if a != b:
+            weight[a][b] += 1
+            weight[b][a] += 1
+    return group, weight
+
+
 def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     """Every minimum cut of a connected g with n >= 2, by a scan of the
     2**(k-1) - 1 proper unions S of the k ``groups`` (``_inseparable_groups``)
@@ -254,7 +275,9 @@ def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     so it is delta(S) for exactly one such S.  Each group is a weighted
     element: its degree is |delta(group)|, the weight between two groups the
     number of edges between them, and |delta(S)| = sum of the degrees over S
-    - 2 * the weight inside S; kappa' is the least value.  The low groups
+    - 2 * the weight inside S; kappa' is the least value.  The weights come
+    from the quotient by the groups (``_quotient``), one pass over the edges,
+    and each degree is a row sum of them.  The low groups
     0..l-1 are split off: each union A of them that holds group 0 is a lane,
     a fixed-width field of one int, and the tables of |delta(A)| and of each
     group's weight to A are built over the lanes by doubling, one low group
@@ -268,9 +291,8 @@ def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     n, adj, k = g.n, g.adjacency_masks, len(groups)
     # per group, each member's neighbours outside the group
     outside = [tuple(adj[v] & ~grp for v in range(n) if grp >> v & 1) for grp in groups]
-    deg = [sum(a.bit_count() for a in out) for out in outside]
-    weight = [[sum((a & other).bit_count() for a in out) for other in groups]
-              for out in outside]
+    _, weight = _quotient(g, groups)
+    deg = [sum(row) for row in weight]
     low, width = _side_layout(g, k)
     ones, lanes = 1, 1
     cut = deg[0]  # per lane: |delta(A)|, A = group 0 first
@@ -334,6 +356,8 @@ def _tree_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
 
     The edges are the bits of an int, in sorted order.  A group's star is
     the XOR of its members' incident edges, so its inner edges cancel.  The
+    quotient by the groups (``_quotient``) gives each vertex's group, and
+    each group's neighbours are the groups it has a non-zero weight to.  The
     quotient has a BFS spanning tree from group 0, and the fundamental cut of
     a tree edge is delta of the groups below it, the XOR of their stars,
     summed up the tree in reverse BFS order.  S is matched with the tree
@@ -346,25 +370,19 @@ def _tree_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     least value so far, which starts at delta.
     """
     edges = sorted(g.edges)
-    group = [0] * g.n
-    for i, grp in enumerate(groups):
-        for v in range(g.n):
-            if grp >> v & 1:
-                group[v] = i
+    group, weight = _quotient(g, groups)
     below = [0] * len(groups)  # per group: its star, then its subtree's cut
-    touching: list[set[int]] = [set() for _ in groups]
     for bit, (u, v) in enumerate(edges):
         a, b = group[u], group[v]
         if a != b:
             below[a] ^= 1 << bit
             below[b] ^= 1 << bit
-            touching[a].add(b)
-            touching[b].add(a)
     order, parent = [0], {0: 0}
     for a in order:
-        for b in sorted(touching[a] - parent.keys()):
-            parent[b] = a
-            order.append(b)
+        for b, w in enumerate(weight[a]):
+            if w and b not in parent:
+                parent[b] = a
+                order.append(b)
     for b in reversed(order[1:]):
         below[parent[b]] ^= below[b]
     tree = [below[b] for b in order[1:]]

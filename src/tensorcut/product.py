@@ -103,9 +103,10 @@ def format_product_cut(cut: Iterable[Edge], h_order: int) -> str:
     return "\n".join(lines)
 
 
-def parse_product_cut(text: str, h_order: int) -> ProductEdgeCut:
+def parse_product_cut(text: str, g_order: int, h_order: int) -> ProductEdgeCut:
     """A cut file's edges; ValueError on a line that is not two points x,u
-    with x >= 0 and 0 <= u < h_order, as x*h_order + u would alias another."""
+    with 0 <= x < g_order and 0 <= u < h_order, as x*h_order + u would alias
+    another vertex or lie past the product."""
     out = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -115,7 +116,8 @@ def parse_product_cut(text: str, h_order: int) -> ProductEdgeCut:
             left, right = line.split()
             x, u = (int(t) for t in left.split(","))
             y, v = (int(t) for t in right.split(","))
-            if min(x, y) < 0 or not (0 <= u < h_order and 0 <= v < h_order):
+            if not (0 <= x < g_order and 0 <= y < g_order
+                    and 0 <= u < h_order and 0 <= v < h_order):
                 raise ValueError("coordinate out of range")
         except ValueError as exc:
             raise ValueError(f"bad cut line {lineno}: {raw!r}") from exc

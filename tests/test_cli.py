@@ -108,6 +108,19 @@ def test_classify_rejects_out_of_range_coordinates(g6_files, tmp_path, capsys):
     assert captured.err.startswith("error: bad cut line 1: '0,3 0,1'")
 
 
+def test_classify_rejects_points_past_g(g6_files, tmp_path, capsys):
+    # x = 5 lies past |G| - 1 = 1, so the line is named as the file wrote it,
+    # not by the product ids (1, 15) that no vertex of K_2 x K_3 has
+    k2 = g6_files("k2.g6", complete_graph(2))
+    k3 = g6_files("k3.g6", complete_graph(3))
+    cut_path = tmp_path / "cut.txt"
+    cut_path.write_text("5,0 0,1\n")
+    assert main(["classify", k2, k3, str(cut_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad cut line 1: '5,0 0,1'\n"
+
+
 def test_super_command(g6_files, capsys):
     c4 = g6_files("c4.g6", cycle_graph(4))
     code, payload = run_json(capsys, ["super", c4, "3", "--brute"])

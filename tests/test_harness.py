@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import tensorcut
-from tensorcut import dense, harness, mincut
+from tensorcut import cli, dense, harness, mincut
 from tensorcut.catalog import is_isomorphic
 from tensorcut.dense import (
     CutClassificationError,
@@ -103,6 +103,19 @@ def test_config_errors_name_their_source():
             CampaignConfig(g_source=source)
         with pytest.raises(ValueError, match=f"bad random source '{source}'"):
             CampaignConfig(h_source=source)
+
+
+def test_config_rejects_a_repeated_key(tmp_path, capsys):
+    # the second value would silently win; verify exits 2 before any campaign
+    text = "seed = 1\nmax_g_order = 3\n# max_g_order = 5\nmax_g_order=4\n"
+    message = "config lines 2 and 4 both set max_g_order"
+    with pytest.raises(ValueError, match=message):
+        parse_config(text)
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    assert cli.main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_load_config(tmp_path):
@@ -320,7 +333,7 @@ def test_missing_cut_certificate_replays_the_check(monkeypatch):
     assert "cut" not in cert
     # the dropped cut is a valid minimum cut, so classifying it again could
     # not reproduce the mismatch: replay has to re-run the check
-    missing = parse_product_cut(cert["missing"], 4)
+    missing = parse_product_cut(cert["missing"], pair.g.n, 4)
     assert classify_min_cut(pair.g, pair.h, missing).verdict is CutVerdict.VERTEX_STAR
     out = replay_certificate(cert)
     assert out["reproduced"] is True
@@ -424,7 +437,7 @@ def test_replay_reproduces_synthetic_mismatch():
     pair = harness._Pair(complete_graph(2), path_graph(3), CampaignConfig())
     rec = harness._check_lemma2(pair)
     assert rec["status"] == "mismatch" and rec["bound"] == 1
-    cut = parse_product_cut(rec["certificate"]["cut"], 3)
+    cut = parse_product_cut(rec["certificate"]["cut"], pair.g.n, 3)
     assert len(cut) < rec["bound"]
     assert fibers_contained(pair.g, pair.h, cut) is False  # independent oracle
     assert replay_certificate(rec["certificate"])["reproduced"] is True

@@ -476,6 +476,27 @@ def test_grouped_side_scan_matches_max_flow_enumeration(g):
     assert mincut._tree_scan_cuts(g, groups) == cuts
 
 
+@settings(max_examples=100, deadline=None)
+@given(connected_graphs_st(max_n=12))
+def test_quotient_counts_the_edges_between_groups(g):
+    # the quotient by the inseparable groups, against a plain loop over the
+    # edges and the groups' member sets: each vertex's group, the edges
+    # between two distinct groups, none within one, and each row sum the
+    # edges that leave the group
+    groups = mincut._inseparable_groups(g)
+    members = [{v for v in range(g.n) if grp >> v & 1} for grp in groups]
+    group, weight = mincut._quotient(g, groups)
+    assert group == [next(i for i, m in enumerate(members) if v in m) for v in range(g.n)]
+    for a, ends in enumerate(members):
+        assert weight[a][a] == 0
+        for b, other in enumerate(members):
+            if a != b:
+                between = sum((u in ends and v in other) or (u in other and v in ends)
+                              for u, v in g.edges)
+                assert weight[a][b] == weight[b][a] == between
+        assert sum(weight[a]) == sum((u in ends) != (v in ends) for u, v in g.edges)
+
+
 def test_enumeration_matches_subset_scan_on_products():
     # G on 2..4 vertices x dense H on 3..4 wherever the scan is small
     compared = 0

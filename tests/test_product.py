@@ -192,19 +192,20 @@ def test_cut_text_format_round_trip():
     g = two_triangles_with_bridge()
     cut = induced_cut({(0, 3)}, g, K3)
     text = format_product_cut(cut, 3)
-    assert parse_product_cut(text, 3) == cut
+    assert parse_product_cut(text, g.n, 3) == cut
     lines = text.splitlines()
     assert all(len(line.split()) == 2 for line in lines)
 
 
 def test_cut_text_format_bad_line():
     with pytest.raises(ValueError):
-        parse_product_cut("0,1 nonsense", 3)
-    # coordinates outside the grid would alias other vertices: with |H| = 3,
-    # (0,3) would read as (1,0), and (-1,2) as (0,-1)
-    for text in ("0,3 0,1", "0,1 1,-1", "-1,2 0,1", "0,1 -1,0"):
+        parse_product_cut("0,1 nonsense", 2, 3)
+    # coordinates outside the 2 x 3 grid would alias other vertices or lie
+    # past the product: (0,3) would read as (1,0), (-1,2) as (0,-1), and
+    # (2,0) as vertex 6 of 0..5
+    for text in ("0,3 0,1", "0,1 1,-1", "-1,2 0,1", "0,1 -1,0", "2,0 0,1", "0,1 2,2"):
         with pytest.raises(ValueError, match="bad cut line 1"):
-            parse_product_cut(text, 3)
+            parse_product_cut(text, 2, 3)
     with pytest.raises(ValueError, match="bad cut line 2"):
-        parse_product_cut("0,0 1,1\n0,4 0,0", 3)
-    assert parse_product_cut("0,2 1,0", 3) == {(2, 3)}
+        parse_product_cut("0,0 1,1\n0,4 0,0", 2, 3)
+    assert parse_product_cut("0,2 1,0", 2, 3) == {(2, 3)}
