@@ -99,6 +99,7 @@ class Graph:
 
     @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples, built only for ``neighbors``."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             nbrs[u].append(v)
@@ -114,6 +115,15 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        """Per-vertex degrees, the popcounts of the adjacency masks."""
+        return tuple(mask.bit_count() for mask in self.adjacency_masks)
+
+    @cached_property
+    def _min_degree(self) -> int:
+        return min(self.degrees)
+
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
@@ -124,12 +134,12 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return self.degrees[v]
 
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("min_degree undefined for the empty graph")
-        return min(len(b) for b in self._adj)
+        return self._min_degree
 
     def edge_count(self) -> int:
         return len(self.edges)

@@ -119,7 +119,7 @@ def parse_checks(text: str) -> tuple[str, ...]:
 
 def parse_config(text: str) -> CampaignConfig:
     """Flat key=value config text; '#' lines are comments, and a key may be
-    set once."""
+    set once, to a nonempty value."""
     values: dict[str, object] = {}
     set_on: dict[str, int] = {}  # per key, the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -133,6 +133,10 @@ def parse_config(text: str) -> CampaignConfig:
         if key in set_on:
             raise ValueError(f"config lines {set_on[key]} and {lineno} both set {key}")
         set_on[key] = lineno
+        if key not in _INT_KEYS | _STR_KEYS | {"checks"}:
+            raise ValueError(f"unknown config key {key!r}")
+        if not val:
+            raise ValueError(f"config line {lineno}: {key} is empty")
         if key in _INT_KEYS:
             try:
                 values[key] = int(val)
@@ -142,10 +146,8 @@ def parse_config(text: str) -> CampaignConfig:
                 ) from None
         elif key in _STR_KEYS:
             values[key] = val
-        elif key == "checks":
-            values[key] = parse_checks(val)
         else:
-            raise ValueError(f"unknown config key {key!r}")
+            values[key] = parse_checks(val)
     return CampaignConfig(**values)
 
 

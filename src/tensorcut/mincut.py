@@ -11,7 +11,9 @@ The oracle reads only the graph and calls no max-flow.  Two vertices with
 more than delta edge-disjoint short paths between them, the edge uv and one
 path through each common neighbour, lie on one side of every minimum cut, so
 every minimum cut is delta(S) for one union S of these inseparable groups
-that holds vertex 0 (``_inseparable_groups``).  Two exhaustive scans over
+that holds vertex 0 (``_inseparable_groups``).  There are at most min(deg u,
+deg v) such paths, so a vertex of degree delta is a group of its own, and
+only vertices of higher degree are paired.  Two exhaustive scans over
 such unions list every minimum cut:
 
 - the side scan (``_side_scan_cuts``) tests all 2**(k-1) unions of the k
@@ -227,12 +229,19 @@ def _inseparable_groups(g: Graph) -> list[int]:
     kappa' edges (a contraction test in the style of Padberg and Rinaldi, "An
     efficient algorithm for the minimum capacity cut problem", 1990).  Reads
     only degrees and adjacency masks.
+
+    Each of those paths leaves u by its own edge, and v by its own edge, so
+    the left side is at most min(deg u, deg v): the rule pairs only vertices
+    of degree above delta, and only those pairs are tested.  A vertex of
+    degree delta is a group of its own.
     """
-    n, adj, delta = g.n, g.adjacency_masks, g.min_degree()
-    pairs = [0] * n  # per vertex, the vertices that the rule pairs it with
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (adj[u] >> v & 1) + (adj[u] & adj[v]).bit_count() > delta:
+    adj, delta = g.adjacency_masks, g.min_degree()
+    high = [v for v, d in enumerate(g.degrees) if d > delta]
+    pairs = [0] * g.n  # per vertex, the vertices that the rule pairs it with
+    for i, u in enumerate(high):
+        au = adj[u]
+        for v in high[i + 1:]:
+            if (au >> v & 1) + (au & adj[v]).bit_count() > delta:
                 pairs[u] |= 1 << v
                 pairs[v] |= 1 << u
     return components(pairs)

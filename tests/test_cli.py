@@ -218,6 +218,17 @@ def test_verify_vacuous_campaign_exits_2(tmp_path, capsys):
         assert captured.err == f"error: {message}\n"
 
 
+def test_verify_empty_source_exits_2(tmp_path, capsys):
+    # an empty source is named by key and line before any corpus is read
+    cfg = tmp_path / "c.cfg"
+    for key in ("g_source", "h_source"):
+        cfg.write_text(f"max_g_order = 3\nmax_h_order = 3\n{key} =\n")
+        assert main(["verify", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config line 3: {key} is empty\n"
+
+
 def test_verify_sampling_failure_exits_2(tmp_path, capsys, monkeypatch):
     # about 2 in 3 draws of a dense H on 5 to 16 vertices pass the dense
     # filter, so with one draw per graph the sampler gives up: on seed 0's

@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strategies import broken_paths, graphs
 from tensorcut.catalog import all_graphs
@@ -41,10 +42,36 @@ def test_min_degree_examples():
     assert k3.min_degree() == 2
 
 
+@settings(max_examples=60)
+@given(st.one_of(graphs(max_n=9), broken_paths()))
+def test_degrees_match_networkx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    want = [d for _, d in sorted(nxg.degree)]
+    assert list(g.degrees) == [g.degree(v) for v in range(g.n)] == want
+    assert g.min_degree() == min(want)
+    with pytest.raises(ValueError, match="out of range"):
+        g.degree(g.n)
+    with pytest.raises(ValueError, match="out of range"):
+        g.degree(-1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 70])
+def test_degrees_of_edgeless_graphs(n):
+    # K_1 included: every degree and the least one are 0
+    g = Graph(n)
+    assert g.degrees == (0,) * n
+    assert g.degree(n - 1) == 0 and g.min_degree() == 0
+
+
 def test_empty_graph_operations_rejected():
     g = Graph(0)
+    assert g.degrees == ()
     with pytest.raises(ValueError):
         g.min_degree()
+    with pytest.raises(ValueError):
+        g.degree(0)
     with pytest.raises(ValueError):
         g.is_connected()
 

@@ -118,6 +118,17 @@ def test_config_rejects_a_repeated_key(tmp_path, capsys):
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def test_config_rejects_an_empty_value():
+    # an empty value is bad input named by key and line, for every known key
+    for key in ("g_source", "h_source", "oracle", "checks", "seed", "max_g_order"):
+        with pytest.raises(ValueError, match=f"^config line 2: {key} is empty$"):
+            parse_config(f"max_h_order = 4\n{key} =\n")
+        with pytest.raises(ValueError, match=f"^config line 1: {key} is empty$"):
+            parse_config(f"  {key}=  \t\n")
+    with pytest.raises(ValueError, match="unknown config key 'bogus'"):
+        parse_config("bogus =\n")
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("max_h_order = 4\nchecks = theorem1\n")

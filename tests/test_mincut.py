@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -129,19 +130,28 @@ def test_maxflow_agrees_with_networkx(g):
 BUDGETS = (0, 10, 100, 10**3, 10**4, 10**5, 5 * 10**6)
 
 
-def group_count(g):
-    """The number of inseparable vertex groups of g, counted plainly: u and v
-    are joined when [uv in E] + |N(u) & N(v)| > delta, and the groups are
-    the classes of that relation closed transitively."""
+def plain_groups(g):
+    """The inseparable vertex groups of g, found plainly over every pair of
+    vertices: u and v are joined when [uv in E] + |N(u) & N(v)| > delta, and
+    the groups are the classes of that relation closed transitively, as
+    bitmasks in order of their least vertex.  Degrees come from the
+    neighbour tuples, not from the graph's degree table."""
     nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    delta = min(map(len, nbrs))
     groups = [{v} for v in range(g.n)]
     for u, v in combinations(range(g.n), 2):
-        if (v in nbrs[u]) + len(nbrs[u] & nbrs[v]) > g.min_degree():
+        if (v in nbrs[u]) + len(nbrs[u] & nbrs[v]) > delta:
             a, b = (next(s for s in groups if x in s) for x in (u, v))
             if a is not b:
                 a |= b
                 groups.remove(b)
-    return len(groups)
+    masks = [sum(1 << v for v in grp) for grp in groups]
+    return sorted(masks, key=lambda grp: grp & -grp)
+
+
+def group_count(g):
+    """The number of inseparable vertex groups of g, counted plainly."""
+    return len(plain_groups(g))
 
 
 def scan_costs(g):
@@ -448,6 +458,51 @@ def test_no_minimum_cut_splits_a_group():
             for grp in groups:
                 assert len({side[v] for v in range(g.n) if grp >> v & 1}) == 1, (g, cut)
     assert sum(len(groups) < g.n for g, groups, _ in cases[:995]) == 875
+
+
+@st.composite
+def clustered_graphs(draw, max_n: int = 90):
+    """Irregular graphs on 1..max_n vertices: random blocks, dense inside
+    and sparse between, so that some vertices merge and others, such as a
+    vertex of least degree, stay alone.  Beyond 64 vertices the adjacency
+    masks span several 64-bit words."""
+    n = draw(st.integers(1, max_n))
+    blocks = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    p_in, p_out = draw(st.sampled_from([(1.0, 0.05), (0.9, 0.1), (0.7, 0.2), (0.5, 0.5)]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph(n, {(u, v) for u, v in combinations(range(n), 2)
+                     if rng.random() < (p_in if blocks[u] == blocks[v] else p_out)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(clustered_graphs(), graphs_st(min_n=1, max_n=8)))
+def test_groups_equal_the_plain_all_pairs_rule(g):
+    # the same bitmasks in the same order as the rule tested on every pair,
+    # though only vertices of degree above delta are tested
+    assert mincut._inseparable_groups(g) == plain_groups(g)
+
+
+def test_groups_of_large_clustered_graphs():
+    # two cliques of 40 and 30 vertices, bridged, beside a path through the
+    # last 10: delta is 1, each clique is one group, and the second one's
+    # mask spans two 64-bit words
+    g = Graph(80, set(complete_graph(40).edges)
+              | {(40 + u, 40 + v) for u, v in complete_graph(30).edges}
+              | {(39, 40), (69, 70)} | {(70 + i, 71 + i) for i in range(9)})
+    groups = mincut._inseparable_groups(g)
+    assert groups == plain_groups(g)
+    assert groups[:2] == [(1 << 40) - 1, ((1 << 30) - 1) << 40]
+    assert groups[2:] == [1 << v for v in range(70, 80)]
+
+
+@pytest.mark.parametrize("g, h", [(complete_graph(4), complete_graph(5)),
+                                  (cycle_graph(5), K4), (C6, complete_graph(3))])
+def test_regular_products_have_singleton_groups(g, h):
+    # every vertex of a regular graph has degree delta, so none is paired
+    p = direct_product(g, h)
+    assert len(set(p.degrees)) == 1
+    singletons = [1 << v for v in range(p.n)]
+    assert mincut._inseparable_groups(p) == plain_groups(p) == singletons
 
 
 def test_side_scan_matches_max_flow_enumeration():

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import os
 import subprocess
@@ -45,6 +46,29 @@ def load_tracer():
     spec.loader.exec_module(tracer)
     import tensorcut  # noqa: F401  loads every module the tracer names
     return tracer
+
+
+def test_benchmark_oracle_workload_settles_every_pair(monkeypatch):
+    # the benchmark's `oracle` config, read from its runner: theorem1 by
+    # subset scan at budget 500k on G 2..4 x dense H 3..5.  All 45 pairs
+    # settle ok, with the kappa' of the max-flow campaign on the same pairs
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # run.py imports tracer
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    from tensorcut import harness
+
+    fields = run.workload_config("oracle", 0)
+    config = harness.CampaignConfig(**{**fields, "checks": tuple(fields["checks"])})
+    assert (config.checks, config.oracle, config.enumeration_budget) == (
+        ("theorem1",), "subset", 500_000)
+    assert (config.g_source, config.h_source, config.max_g_order, config.max_h_order) == (
+        "enumerate", "enumerate", 4, 5)
+    brute = harness.run_campaign(config).records
+    exact = harness.run_campaign(dataclasses.replace(config, oracle="maxflow")).records
+    assert [rec["status"] for rec in brute] == ["ok"] * 45
+    assert ([(rec["g"], rec["h"], rec["oracle"]) for rec in brute]
+            == [(rec["g"], rec["h"], rec["oracle"]) for rec in exact])
 
 
 def test_benchmark_tracer_names_resolve():
