@@ -149,20 +149,18 @@ def kappa_formula_kn(g: Graph, n: int) -> FormulaResult:
     return _formula(n * (n - 1) * _kappa(g), (n - 1) * g.min_degree())
 
 
-def _is_minimum_factor_cut(g: Graph, s0: frozenset[Edge]) -> bool:
-    if g.n < 2:
-        return False
-    return len(s0) == _kappa(g) and not remove_edges(g, s0).is_connected()
-
-
 def classify_min_cut(g: Graph, h: Graph, cut: Iterable[Edge]) -> CutClass:
     """Sort a minimum edge cut of g x h into its structural class.
 
     Star detection runs before factor-cut recovery so overlapping
     descriptions get a deterministic verdict.  A cut that fits neither class
     is only legal when g = K_2 and h is an exceptional family member;
-    anything else raises CutClassificationError as a counterexample.
+    anything else raises CutClassificationError as a counterexample.  A
+    trivial or disconnected g is bad input (ValueError): its empty cut is
+    neither a star nor a lift, yet refutes nothing.
     """
+    if g.n < 2 or not g.is_connected():
+        raise ValueError("classification requires a nontrivial connected first factor")
     if not dense_precondition(h):
         raise ValueError("classification requires 2*delta(h) > |h|")
     product = direct_product(g, h)
@@ -180,7 +178,8 @@ def classify_min_cut(g: Graph, h: Graph, cut: Iterable[Edge]) -> CutClass:
         return CutClass(CutVerdict.VERTEX_STAR, star_center=vertex_pair(center, h.n))
 
     s0 = frozenset(e for e in g.edges if lifted_edges(e, g, h) <= norm)
-    if s0 and induced_cut(s0, g, h) == norm and _is_minimum_factor_cut(g, s0):
+    if (s0 and induced_cut(s0, g, h) == norm and len(s0) == _kappa(g)
+            and not remove_edges(g, s0).is_connected()):
         return CutClass(CutVerdict.INDUCED_BY_FACTOR_CUT, factor_cut=s0)
 
     if g == complete_graph(2) and is_exceptional_member(h) is not None:

@@ -13,15 +13,15 @@ counterexample certificate, never an exception.
 the listed cuts, and then checks an equality of cut sets: the listed minimum
 cuts of G x H must be exactly the ones Theorem 2 predicts, the stars of the
 minimum-degree product vertices and the lifts of G's minimum cuts, each
-where its bound attains the minimum.  Cuts are matched by set membership;
-only an extra cut on an exceptional pair (K_2, H_l) is handed to
-``classify_min_cut``, and it must come back exceptional.
+where its bound attains the minimum.  Each listed cut reads its class off
+one table of the predicted cuts; only an extra cut on an exceptional pair
+(K_2, H_l) is handed to ``classify_min_cut``, and it must come back
+exceptional.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 import sys
 import time
@@ -39,7 +39,6 @@ from .dense import (
     classify_min_cut,
     dense_precondition,
     exceptional_cut,
-    exceptional_member,
     is_exceptional_member,
     is_super_edge_connected_kn,
     kappa_formula,
@@ -324,33 +323,27 @@ def _check_corollary1(pair: _Pair) -> dict:
                    dict.fromkeys(("formula", "oracle"), kn.value), observed)
 
 
-def _classify(pair: _Pair, cut) -> Optional[CutVerdict]:
-    """The Theorem 2 class of one minimum cut; None when it fits no class."""
-    try:
-        return classify_min_cut(pair.g, pair.h, cut).verdict
-    except CutClassificationError:
-        return None
+def _predicted_cuts(pair: _Pair, res: FormulaResult) -> dict[frozenset[Edge], CutVerdict]:
+    """Theorem 2's minimum cuts of G x H outside (K_2, H_l), each keyed to
+    its class.
 
-
-def _predicted_cuts(pair: _Pair, res: FormulaResult
-                    ) -> tuple[frozenset[frozenset[Edge]], frozenset[frozenset[Edge]]]:
-    """Theorem 2's minimum cuts of G x H outside (K_2, H_l), as (stars, lifts).
-
-    The stars of every (x, u) with deg x = delta(G) and deg u = delta(H) when
-    delta(G)delta(H) attains the minimum, and the lifts of G's minimum cuts
-    when 2 kappa'(G) e(H) does; both on a tie.
+    The lifts of G's minimum cuts when 2 kappa'(G) e(H) attains the minimum,
+    and the stars of every (x, u) with deg x = delta(G) and deg u = delta(H)
+    when delta(G)delta(H) does; both on a tie.  Stars go in last, so a cut
+    that is both reads as a star.
     """
     g, h = pair.g, pair.h
-    stars: frozenset[frozenset[Edge]] = frozenset()
-    lifts: frozenset[frozenset[Edge]] = frozenset()
+    predicted: dict[frozenset[Edge], CutVerdict] = {}
+    if res.factor_cut_bound == res.value:
+        predicted.update({induced_cut(s, g, h): CutVerdict.INDUCED_BY_FACTOR_CUT
+                          for s in enumerate_min_cuts(g).cuts})
     if res.degree_bound == res.value:
         dg, dh = g.min_degree(), h.min_degree()
-        stars = frozenset(boundary(pair.product, 1 << vertex_id(x, u, h.n))
+        predicted.update({boundary(pair.product, 1 << vertex_id(x, u, h.n)):
+                          CutVerdict.VERTEX_STAR
                           for x in range(g.n) if g.degree(x) == dg
-                          for u in range(h.n) if h.degree(u) == dh)
-    if res.factor_cut_bound == res.value:
-        lifts = frozenset(induced_cut(s, g, h) for s in enumerate_min_cuts(g).cuts)
-    return stars, lifts
+                          for u in range(h.n) if h.degree(u) == dh})
+    return predicted
 
 
 def _unpredicted(pair: _Pair, cut: frozenset[Edge], exceptional_pair: bool) -> Optional[str]:
@@ -363,12 +356,12 @@ def _unpredicted(pair: _Pair, cut: frozenset[Edge], exceptional_pair: bool) -> O
     if not exceptional_pair:
         return "unpredicted"
     try:
-        verdict = _classify(pair, cut)
+        verdict = classify_min_cut(pair.g, pair.h, cut).verdict
+    except CutClassificationError:
+        return "unclassifiable"
     except ValueError:
         return "not a minimum cut"
-    if verdict is CutVerdict.EXCEPTIONAL:
-        return None
-    return "unclassifiable" if verdict is None else f"unpredicted {verdict.value}"
+    return None if verdict is CutVerdict.EXCEPTIONAL else f"unpredicted {verdict.value}"
 
 
 def _cut_set_failure(pair: _Pair, res: FormulaResult, cuts, rec: dict
@@ -376,28 +369,25 @@ def _cut_set_failure(pair: _Pair, res: FormulaResult, cuts, rec: dict
     """The first way the listed cuts differ from Theorem 2's, as (expected,
     observed, certificate cuts), or None; rec gets the verdict counts."""
     h, exceptional_pair = pair.h, rec["exceptional_pair"]
-    stars, lifts = _predicted_cuts(pair, res)
+    predicted = _predicted_cuts(pair, res)
     counts = rec["verdicts"] = {v.value: 0 for v in CutVerdict}
     for cut in cuts:
-        if cut in stars:
-            verdict = CutVerdict.VERTEX_STAR
-        elif cut in lifts:
-            verdict = CutVerdict.INDUCED_BY_FACTOR_CUT
-        else:
+        verdict = predicted.get(cut)
+        if verdict is None:
             observed = _unpredicted(pair, cut, exceptional_pair)
             if observed is not None:
                 return ("predicted or exceptional", observed,
                         {"cut": format_product_cut(cut, h.n)})
             verdict = CutVerdict.EXCEPTIONAL
         counts[verdict.value] += 1
-    missing = (stars | lifts).difference(cuts)
+    missing = predicted.keys() - cuts
     if missing:
         return ("every predicted cut", f"{len(missing)} missing",
                 {"missing": format_product_cut(min(missing, key=sorted), h.n)})
     if exceptional_pair:
-        l = is_exceptional_member(h)
-        if h == exceptional_member(l):
-            rec["canonical_cut_seen"] = exceptional_cut(l)[1] in cuts
+        product, canonical = exceptional_cut(is_exceptional_member(h))
+        if product == pair.product:
+            rec["canonical_cut_seen"] = canonical in cuts
         if counts[CutVerdict.EXCEPTIONAL.value] == 0:
             return "at least one exceptional cut", counts, {}
     return None
@@ -410,9 +400,7 @@ def _check_theorem2(pair: _Pair) -> dict:
         return _settle({"kappa": None}, pair, "theorem2", None, None)
     # an empty list, which only a faulty engine gives, reads as kappa' 0
     kappa = min(map(len, cuts), default=0)
-    rec: dict = {"kappa": kappa,
-                 "subsets": math.comb(len(pair.product.edges), kappa),
-                 "exhaustive": True, "cuts": len(cuts),
+    rec: dict = {"kappa": kappa, "cuts": len(cuts),
                  "exceptional_pair": g == complete_graph(2)
                  and is_exceptional_member(h) is not None}
     # the closed form comes first: classify_min_cut measures cuts against it
@@ -598,8 +586,10 @@ def replay_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> dict:
     out = {"check": check, **rec, "reproduced": rec["status"] == "mismatch"}
     if check == "theorem2" and "cut" in cert:
         try:
-            verdict = _classify(pair, parse_product_cut(cert["cut"], pair.g.n, pair.h.n))
-            out["verdict"] = "unclassifiable" if verdict is None else verdict.value
+            cut = parse_product_cut(cert["cut"], pair.g.n, pair.h.n)
+            out["verdict"] = classify_min_cut(pair.g, pair.h, cut).verdict.value
+        except CutClassificationError:
+            out["verdict"] = "unclassifiable"
         except ValueError as exc:
             out["verdict"] = str(exc)
     return out

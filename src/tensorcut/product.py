@@ -104,9 +104,9 @@ def format_product_cut(cut: Iterable[Edge], h_order: int) -> str:
 
 
 def parse_product_cut(text: str, g_order: int, h_order: int) -> ProductEdgeCut:
-    """A cut file's edges; ValueError on a line that is not two points x,u
-    with 0 <= x < g_order and 0 <= u < h_order, as x*h_order + u would alias
-    another vertex or lie past the product."""
+    """A cut file's edges; ValueError on a line that is not two distinct
+    points x,u with 0 <= x < g_order and 0 <= u < h_order, as x*h_order + u
+    would alias another vertex or lie past the product."""
     out = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -119,7 +119,7 @@ def parse_product_cut(text: str, g_order: int, h_order: int) -> ProductEdgeCut:
             if not (0 <= x < g_order and 0 <= y < g_order
                     and 0 <= u < h_order and 0 <= v < h_order):
                 raise ValueError("coordinate out of range")
+            out.add(edge(vertex_id(x, u, h_order), vertex_id(y, v, h_order)))
         except ValueError as exc:
             raise ValueError(f"bad cut line {lineno}: {raw!r}") from exc
-        out.add(edge(vertex_id(x, u, h_order), vertex_id(y, v, h_order)))
     return frozenset(out)

@@ -5,10 +5,11 @@ import pytest
 
 from tensorcut import cli, harness
 from tensorcut.cli import main
-from tensorcut.dense import exceptional_cut, exceptional_member
+from tensorcut.dense import CutClassificationError, exceptional_cut, exceptional_member
 from tensorcut.graph6 import emit_graph6, parse_graph6
-from tensorcut.graphs import complete_graph, cycle_graph
-from tensorcut.product import direct_product, format_product_cut
+from tensorcut.graphs import Graph, boundary, complete_graph, cycle_graph
+from tensorcut.product import direct_product, format_product_cut, induced_cut
+from test_dense import bridged
 from test_harness import vacuous_configs
 
 
@@ -82,6 +83,72 @@ def test_classify_command(g6_files, tmp_path, capsys):
     code, payload = run_json(capsys, ["classify", k2, k3, str(cut_path)])
     assert code == 0
     assert payload["verdict"] == "exceptional"
+
+
+def test_classify_prints_the_star_center(g6_files, tmp_path, capsys):
+    k3 = g6_files("k3.g6", complete_graph(3))
+    k4 = g6_files("k4.g6", complete_graph(4))
+    star = boundary(direct_product(complete_graph(3), complete_graph(4)), 1 << 6)
+    cut_path = tmp_path / "cut.txt"
+    cut_path.write_text(format_product_cut(star, 4) + "\n")
+    code, payload = run_json(capsys, ["classify", k3, k4, str(cut_path)])
+    assert code == 0
+    assert payload == {"verdict": "vertex_star", "star_center": "1,2"}
+
+
+def test_classify_prints_the_factor_cut(g6_files, tmp_path, capsys):
+    # two K_4 joined by the bridge 0-4, times K_3: the bridge's lift has
+    # 2 * 1 * e(K_3) = 6 edges, a tie with every star's 3 * 2
+    g = bridged(complete_graph(4))
+    gp = g6_files("g.g6", g)
+    k3 = g6_files("k3.g6", complete_graph(3))
+    cut_path = tmp_path / "cut.txt"
+    cut_path.write_text(format_product_cut(induced_cut({(0, 4)}, g, complete_graph(3)), 3))
+    code, payload = run_json(capsys, ["classify", gp, k3, str(cut_path)])
+    assert code == 0
+    assert payload == {"verdict": "induced_by_factor_cut", "factor_cut": "0-4"}
+
+
+def test_classify_reports_an_unclassifiable_cut(g6_files, tmp_path, capsys, monkeypatch):
+    def refuse(g, h, cut):
+        raise CutClassificationError(g, h, frozenset(cut))
+
+    monkeypatch.setattr(cli, "classify_min_cut", refuse)
+    k2 = g6_files("k2.g6", complete_graph(2))
+    k3 = g6_files("k3.g6", complete_graph(3))
+    _, cut = exceptional_cut(1)
+    cut_path = tmp_path / "cut.txt"
+    cut_path.write_text(format_product_cut(cut, 3))
+    code, payload = run_json(capsys, ["classify", k2, k3, str(cut_path)])
+    assert code == 1
+    assert payload == {"verdict": "unclassifiable", "counterexample": True,
+                       "g": "A_", "h": "Bw"}
+
+
+@pytest.mark.parametrize("g", [Graph(1), Graph(2)], ids=["K1", "edgeless2"])
+def test_classify_rejects_a_trivial_or_disconnected_first_factor(g, g6_files, tmp_path,
+                                                                 capsys):
+    # kappa' is 0 and the empty cut fits no class, which refutes nothing
+    gp = g6_files("g.g6", g)
+    k3 = g6_files("k3.g6", complete_graph(3))
+    cut_path = tmp_path / "cut.txt"
+    cut_path.write_text("")
+    assert main(["classify", gp, k3, str(cut_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: classification requires a nontrivial "
+                            "connected first factor\n")
+
+
+def test_classify_rejects_a_repeated_point(g6_files, tmp_path, capsys):
+    k2 = g6_files("k2.g6", complete_graph(2))
+    k3 = g6_files("k3.g6", complete_graph(3))
+    cut_path = tmp_path / "cut.txt"
+    cut_path.write_text("0,0 0,0\n")
+    assert main(["classify", k2, k3, str(cut_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad cut line 1: '0,0 0,0'\n"
 
 
 def test_classify_rejects_non_minimum(g6_files, tmp_path, capsys):

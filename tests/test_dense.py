@@ -152,6 +152,15 @@ def test_classify_validates_minimality():
         classify_min_cut(K2, cycle_graph(5), frozenset())  # factor not dense
 
 
+@pytest.mark.parametrize("g", [Graph(1), Graph(2), disjoint_union(K2, Graph(1))],
+                         ids=["K1", "edgeless2", "K2+K1"])
+def test_classify_requires_a_nontrivial_connected_first_factor(g):
+    # kappa' is 0, so the empty cut passes the size and disconnection checks,
+    # yet it is neither a star nor a lift: it must not read as a counterexample
+    with pytest.raises(ValueError, match="nontrivial connected first factor"):
+        classify_min_cut(g, K3, frozenset())
+
+
 def test_classification_failure_is_surfaced(monkeypatch):
     import tensorcut.dense as dense
 

@@ -70,6 +70,12 @@ def test_long_form_orders():
     assert parse_graph6(emit_graph6(h)) == h
 
 
+def test_six_byte_length_header():
+    # emit_graph6 writes "~~" only past 258047 vertices, but any order may
+    # be read in it
+    assert parse_graph6("~~?????A_") == complete_graph(2)
+
+
 def test_malformed_inputs():
     with pytest.raises(Graph6Error):
         parse_graph6("")
@@ -79,6 +85,8 @@ def test_malformed_inputs():
         parse_graph6("Bww")  # extra adjacency byte
     with pytest.raises(Graph6Error):
         parse_graph6("~B")  # truncated long-form header
+    with pytest.raises(Graph6Error, match="truncated length header"):
+        parse_graph6("~~???")  # truncated six-byte header
     with pytest.raises(Graph6Error):
         parse_graph6("B\x1f")  # below the printable range
     with pytest.raises(Graph6Error):

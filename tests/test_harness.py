@@ -213,9 +213,10 @@ def test_random_infeasible_degree():
         random_graph_with_min_degree(3, 5, random.Random(0))
 
 
-def test_sampling_failure_is_bad_input():
+def test_sampling_failure_is_bad_input(monkeypatch):
     import random
 
+    monkeypatch.setattr(harness, "_SAMPLING_TRIES", 10)
     with pytest.raises(ValueError, match="no graph on 3 vertices with minimum degree >= 0"):
         random_graph_with_min_degree(3, 0, random.Random(0), keep=lambda g: False)
 
@@ -307,12 +308,13 @@ def test_theorem2_membership_agrees_with_per_cut_classification():
         slow = Counter(classify_min_cut(g, h, c).verdict for c in cuts)
         assert rec["verdicts"] == {v.value: slow[v] for v in CutVerdict}
         totals += slow
-        stars, lifts = harness._predicted_cuts(pair, kappa_formula(g, h))
-        assert stars | lifts <= cuts
+        predicted = harness._predicted_cuts(pair, kappa_formula(g, h))
+        assert all(classify_min_cut(g, h, c).verdict is v for c, v in predicted.items())
+        assert predicted.keys() <= cuts
         if rec["exceptional_pair"]:
             assert (g, h) == (complete_graph(2), complete_graph(3))
         else:
-            assert stars | lifts == cuts
+            assert predicted.keys() == cuts
     assert totals[CutVerdict.INDUCED_BY_FACTOR_CUT] == 2
     assert totals[CutVerdict.EXCEPTIONAL] == 9
 
@@ -464,6 +466,13 @@ def test_replay_theorem2_certificate():
     }
     out = replay_certificate(cert)
     assert out["verdict"] == "exceptional"
+    assert out["reproduced"] is False
+
+
+def test_replay_reports_a_malformed_cut_as_the_verdict():
+    cert = {"check": "theorem2", "g": "A_", "h": "Bw", "cut": "0,0 1,1\n0,0 nonsense"}
+    out = replay_certificate(cert)
+    assert out["verdict"] == "bad cut line 2: '0,0 nonsense'"
     assert out["reproduced"] is False
 
 

@@ -46,6 +46,12 @@ C6 = cycle_graph(6)
 K4 = complete_graph(4)
 
 
+def test_subset_oracle_gives_a_disconnected_graph_the_empty_cut():
+    res = edge_connectivity_subset(disjoint_union(K4, path_graph(2)), budget=0)
+    assert res.value == 0
+    assert res.witness == frozenset()
+
+
 def test_edge_connectivity_examples():
     assert edge_connectivity(K4).value == 3
     assert edge_connectivity(C6).value == 2

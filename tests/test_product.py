@@ -188,6 +188,11 @@ def test_lifted_edges_are_product_edges(g, h):
         assert lift <= prod.edges
 
 
+def test_lifted_edges_rejects_a_non_edge():
+    with pytest.raises(ValueError, match=r"\(0,2\) is not an edge"):
+        lifted_edges((2, 0), path_graph(3), K3)
+
+
 def test_cut_text_format_round_trip():
     g = two_triangles_with_bridge()
     cut = induced_cut({(0, 3)}, g, K3)
@@ -208,4 +213,11 @@ def test_cut_text_format_bad_line():
             parse_product_cut(text, 2, 3)
     with pytest.raises(ValueError, match="bad cut line 2"):
         parse_product_cut("0,0 1,1\n0,4 0,0", 2, 3)
+    # a line that names one point twice is a self-loop, not an edge
+    with pytest.raises(ValueError, match="bad cut line 1: '0,0 0,0'"):
+        parse_product_cut("0,0 0,0", 2, 3)
     assert parse_product_cut("0,2 1,0", 2, 3) == {(2, 3)}
+
+
+def test_cut_text_format_skips_blank_lines():
+    assert parse_product_cut("\n0,2 1,0\n  \n\n1,1 0,0\n", 2, 3) == {(2, 3), (0, 4)}
