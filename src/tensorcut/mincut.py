@@ -24,10 +24,10 @@ such unions list every minimum cut:
   so delta(S) is the XOR of the fundamental cuts of the tree edges that it
   crosses, and a cut of value v crosses at most v of them.
 
-The budget counts the 64-bit words that a scan touches.  Among the scans
-that fit it, ``_subset_min_cuts`` runs the one with fewer Python-level
-steps, and it raises BudgetExceeded before any scan starts when neither
-fits, so an answer depends only on the graph and the budget.
+The budget counts the 64-bit words that a scan touches.
+``_subset_min_cuts`` runs the side scan when it fits, else the tree scan
+when it fits, and raises BudgetExceeded before any scan starts when neither
+does, so an answer depends only on the graph and the budget.
 ``edge_connectivity_subset`` answers with the least minimum cut by sorted
 edge list, ``enumerate_min_cuts_subset`` with all of them, and
 ``is_super_edge_connected`` reads that list.
@@ -428,26 +428,21 @@ def _subset_min_cuts(g: Graph, budget: int) -> list[frozenset[Edge]]:
     makes 2**(k-low) Gray-code moves over lanes of ``width`` bits for each of
     the 2**(low-1) unions of its low groups (``_side_layout``), and the tree
     scan XORs an |E|-bit mask for each of its sum of C(k-1, j) over j <=
-    delta subsets.  Of the scans that fit, the one with fewer Python-level
-    steps runs: the side scan's k**2 weights and 2**(k-low) moves, or the tree
-    scan's subsets.  When neither fits, BudgetExceeded names the smaller word
-    count before any scan starts.
+    delta subsets.  The side scan runs when it fits, else the tree scan when
+    it fits.  When neither fits, BudgetExceeded names the smaller word count
+    before any scan starts.
     """
     groups = _inseparable_groups(g)
     k = len(groups)
     low, width = _side_layout(g, k)
-    moves = 1 << (k - low)
+    side = (1 << (k - low)) * -(-width * (1 << (low - 1)) // 64)
+    if side <= budget:
+        return _side_scan_cuts(g, groups)
     subsets = sum(math.comb(k - 1, j) for j in range(1, g.min_degree() + 1))
-    scans = [  # (words, steps, scan)
-        (moves * -(-width * (1 << (low - 1)) // 64), k * k + moves, _side_scan_cuts),
-        (subsets * -(-len(g.edges) // 64), subsets, _tree_scan_cuts),
-    ]
-    fits = [scan for scan in scans if scan[0] <= budget]
-    if not fits:
-        words = min(words for words, _, _ in scans)
-        raise BudgetExceeded(f"subset oracle would touch {words} words (budget {budget})")
-    _, _, scan = min(fits, key=lambda scan: scan[1])
-    return scan(g, groups)
+    tree = subsets * -(-len(g.edges) // 64)
+    if tree <= budget:
+        return _tree_scan_cuts(g, groups)
+    raise BudgetExceeded(f"subset oracle would touch {min(side, tree)} words (budget {budget})")
 
 
 def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutResult:

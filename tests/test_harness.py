@@ -662,6 +662,11 @@ def _limit_too_high(real):
 # each case with the expected, observed and product cuts of the certificate
 # of its first mismatch; the others carry the same cut keys
 FAULTS = [
+    # a closed form one above kappa' is a theorem1 mismatch
+    ("theorem1", "kappa_formula", _off_by_one, 6, 6, (3, 2, {})),
+    # so is an engine whose kappa' is one above the closed form; the
+    # factors' kappa' in the closed form shifts with it, but not delta(G)delta(H)
+    ("theorem1", "edge_connectivity", _off_by_one, 6, 6, (2, 3, {})),
     ("corollary1", "kappa_formula_kn", _off_by_one, 6, 6,
      ({"formula": 3, "oracle": 3}, {"formula": 2, "oracle": 2}, {})),
     # an engine that drops a cut leaves a predicted cut missing
@@ -719,3 +724,23 @@ def test_injected_fault_is_certified(monkeypatch, check, binding, mutate,
     assert all(cert.keys() == certs[0].keys() for cert in certs)
     assert all(replay_certificate(cert)["reproduced"] for cert in certs)
     assert {r["status"] for r in report.records} <= {"ok", "mismatch"}
+
+
+def test_side_scan_fault_is_certified_under_the_subset_oracle(monkeypatch):
+    # a side scan that drops the least edge of each cut lowers kappa' below
+    # the closed form on every product of G 2..3 x dense H 3..4, since the
+    # side scan fits all of them, and each certificate replays under the fault
+    real = mincut._side_scan_cuts
+
+    def dropped(g, groups):
+        return [cut - {min(cut)} for cut in real(g, groups)]
+
+    monkeypatch.setattr(mincut, "_side_scan_cuts", dropped)
+    report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4,
+                                         checks=("theorem1",), oracle="subset"))
+    assert len(report.records) == 6
+    assert report.summary["mismatches"] == 6
+    certs = [r["certificate"] for r in report.records]
+    assert certs[0] == {"check": "theorem1", "g": "A_", "h": "Bw", "oracle": "subset",
+                        "expected": 2, "observed": 1}
+    assert all(replay_certificate(cert)["reproduced"] for cert in certs)

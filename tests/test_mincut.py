@@ -140,9 +140,12 @@ def plain_groups(g):
     """The inseparable vertex groups of g, found plainly over every pair of
     vertices: u and v are joined when [uv in E] + |N(u) & N(v)| > delta, and
     the groups are the classes of that relation closed transitively, as
-    bitmasks in order of their least vertex.  Degrees come from the
-    neighbour tuples, not from the graph's degree table."""
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    bitmasks in order of their least vertex.  Neighbours and degrees come
+    from the edge list, not from the graph's adjacency or degree tables."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
     delta = min(map(len, nbrs))
     groups = [{v} for v in range(g.n)]
     for u, v in combinations(range(g.n), 2):
@@ -161,31 +164,28 @@ def group_count(g):
 
 
 def scan_costs(g):
-    """The 64-bit words and the Python-level steps of each subset scan on a
-    connected g, counted plainly over its k inseparable groups.
+    """The 64-bit words of each subset scan on a connected g, counted
+    plainly over its k inseparable groups.
 
     The side scan holds the unions of its low = min(k, k // 2 + 2) groups in
     lanes, one field each wide enough for |E| and a guard bit, and makes
-    2**(k - low) moves over all of them; its steps are those moves and the
-    k * k group weights.  The tree scan steps through every set of 1..delta
-    of the k - 1 tree edges, each an |E|-bit mask.
+    2**(k - low) moves over all of them.  The tree scan steps through every
+    set of 1..delta of the k - 1 tree edges, each an |E|-bit mask.
     """
     k, m = group_count(g), len(g.edges)
     low = min(k, k // 2 + 2)
     width = len(f"{m:b}") + 1
-    moves = 2 ** (k - low)
     subsets = sum(math.comb(k - 1, j) for j in range(1, g.min_degree() + 1))
-    return {"side": (moves * math.ceil(width * 2 ** (low - 1) / 64), k * k + moves),
-            "tree": (subsets * math.ceil(m / 64), subsets)}
+    return {"side": 2 ** (k - low) * math.ceil(width * 2 ** (low - 1) / 64),
+            "tree": subsets * math.ceil(m / 64)}
 
 
 def chosen_scan(g, budget):
-    """The scan that the subset oracle runs on g: of those whose words fit
-    the budget, the one with fewer steps, the side scan on a tie; None when
-    neither fits."""
+    """The scan that the subset oracle runs on g: the side scan if its words
+    fit the budget, else the tree scan if its words do; None when neither
+    fits."""
     costs = scan_costs(g)
-    fits = [name for name, (words, _) in costs.items() if words <= budget]
-    return min(fits, key=lambda name: costs[name][1], default=None)
+    return next((name for name in ("side", "tree") if costs[name] <= budget), None)
 
 
 def over_budget(g, budget):
@@ -196,7 +196,7 @@ def over_budget(g, budget):
 def budget_edges(g):
     """Each scan's word count on g and one less: the budgets where the
     oracle's choice can change."""
-    return {words + d for words, _ in scan_costs(g).values() for d in (-1, 0)}
+    return {words + d for words in scan_costs(g).values() for d in (-1, 0)}
 
 
 def component_boundary(g, witness, v=0):
@@ -222,7 +222,7 @@ def _check_budget_decision(g, budget, expected):
     """
     value, least, cuts = expected
     if over_budget(g, budget):
-        words = min(words for words, _ in scan_costs(g).values())
+        words = min(scan_costs(g).values())
         for oracle in (edge_connectivity_subset, enumerate_min_cuts_subset):
             with pytest.raises(BudgetExceeded) as exc:
                 oracle(g, budget)
@@ -238,25 +238,27 @@ def test_subset_search_budget():
     # K_7 has 7 groups and 21 edges: the side scan makes 4 moves over 16
     # lanes of 6 bits, 8 words, and the tree scan touches one word for each
     # of its 63 subsets
-    assert scan_costs(complete_graph(7)) == {"side": (8, 53), "tree": (63, 63)}
+    assert scan_costs(complete_graph(7)) == {"side": 8, "tree": 63}
     with pytest.raises(BudgetExceeded, match="touch 8 words \\(budget 7\\)"):
         edge_connectivity_subset(complete_graph(7), budget=7)
     assert edge_connectivity_subset(complete_graph(7), budget=8).value == 6
     # the bridged K_4 has kappa' 1 below delta 3, and its bridge is its one
-    # minimum cut; C_26 takes the tree scan at any budget that it fits
+    # minimum cut; C_26 fits the tree scan from 325 words and the side scan
+    # from 3,145,728
     for g in (complete_graph(7), C6, bridged(K4), bridged(complete_graph(5)), cycle_graph(26)):
         expected = _expected(g)
         for budget in {*BUDGETS, *budget_edges(g)}:
             _check_budget_decision(g, budget, expected)
     assert edge_connectivity_subset(bridged(K4), budget=20).witness == {(0, 4)}
-    assert [chosen_scan(cycle_graph(26), b) for b in (324, 325, 5 * 10**6)] == [None, "tree", "tree"]
+    assert scan_costs(cycle_graph(26)) == {"side": 3145728, "tree": 325}
+    assert [chosen_scan(cycle_graph(26), b) for b in (324, 325, 5 * 10**6)] == [None, "tree", "side"]
 
 
-def test_oracle_runs_the_smaller_scan(monkeypatch):
-    # of the scans whose words fit the budget, the one with fewer steps runs,
-    # and none runs when neither fits, on every connected graph on 2..7
-    # vertices and on C_26, where the budgets between its two word counts fit
-    # the tree scan alone, at the edges of both word counts
+def test_oracle_runs_the_side_scan_when_it_fits(monkeypatch):
+    # the side scan runs when its words fit the budget, else the tree scan
+    # when its words do, and none runs when neither fits, on every connected
+    # graph on 2..7 vertices and on C_26, where the budgets between its two
+    # word counts fit the tree scan alone, at the edges of both word counts
     ran = []
     for name in ("_side_scan_cuts", "_tree_scan_cuts"):
         monkeypatch.setattr(mincut, name, lambda g, groups, name=name: ran.append(name) or [])
@@ -273,9 +275,9 @@ def test_oracle_runs_the_smaller_scan(monkeypatch):
             else:
                 mincut._subset_min_cuts(g, budget)
                 assert ran == [f"_{want}_scan_cuts"], (g, budget)
-            routes.add((want, tuple(name for name, (words, _) in costs.items() if words <= budget)))
+            routes.add((want, tuple(name for name, words in costs.items() if words <= budget)))
     assert routes == {(None, ()), ("side", ("side",)), ("tree", ("tree",)),
-                      ("side", ("side", "tree")), ("tree", ("side", "tree"))}
+                      ("side", ("side", "tree"))}
 
 
 def test_tree_scan_on_multiword_masks():
@@ -303,9 +305,12 @@ def _small_products():
 def test_subset_witness_is_the_least_cut():
     # whichever scan runs, the witness is the least minimum cut by sorted
     # edge list and the cut list is the max-flow one, at every budget that a
-    # scan fits; under smaller budgets both oracles raise
+    # scan fits; under smaller budgets both oracles raise.  The small
+    # products fit the side scan or nothing; C_26 takes the tree scan at
+    # budgets from 325 to 3,145,727 words
     scans = set()
-    for p, expected in _small_products():
+    c26 = cycle_graph(26)
+    for p, expected in [*_small_products(), (c26, _expected(c26))]:
         for budget in BUDGETS:
             _check_budget_decision(p, budget, expected)
             scans.add(chosen_scan(p, budget))
@@ -336,11 +341,11 @@ def test_cut_list_needs_no_max_flow_kappa(monkeypatch):
     # the subset oracle calls no max-flow: with every max-flow entry point
     # raising, kappa', its witness, the cut list and the super edge
     # connectivity check answer as before on graphs that take each scan, and
-    # the lists are the max-flow ones
+    # the lists are the max-flow ones; the side scan does not fit C_70
     graphs = (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3)),
-              cycle_graph(26), direct_product(cycle_graph(5), K4))
+              cycle_graph(26), direct_product(cycle_graph(5), K4), cycle_graph(70))
     assert [chosen_scan(g, mincut.DEFAULT_BUDGET) for g in graphs] == [
-        "tree", "tree", "tree", "side", "tree", "side"]
+        "side", "side", "side", "side", "side", "side", "tree"]
 
     def answers():
         return [(edge_connectivity_subset(g), enumerate_min_cuts_subset(g),
@@ -348,8 +353,8 @@ def test_cut_list_needs_no_max_flow_kappa(monkeypatch):
 
     want = answers()
     assert [cuts for _, cuts, _ in want] == [enumerate_min_cuts(g) for g in graphs]
-    assert [res.value for res, _, _ in want] == [1, 2, 3, 4, 2, 6]
-    assert [brute for _, _, brute in want] == [False, False, True, True, False, True]
+    assert [res.value for res, _, _ in want] == [1, 2, 3, 4, 2, 6, 2]
+    assert [brute for _, _, brute in want] == [False, False, True, True, False, True, False]
 
     def no_flow(*args, **kwargs):
         raise AssertionError("max-flow called")
@@ -420,7 +425,7 @@ def test_enumerate_budget_fallback():
     # scan 43,795, both past the budget: no partial cut list is returned,
     # while the max-flow engine needs no budget
     p = direct_product(cycle_graph(5), K4)
-    assert scan_costs(p) == {"side": (57344, 656), "tree": (43795, 43795)}
+    assert scan_costs(p) == {"side": 57344, "tree": 43795}
     with pytest.raises(BudgetExceeded, match="43795 words \\(budget 1000\\)"):
         enumerate_min_cuts_subset(p, budget=1000)
     assert len(enumerate_min_cuts(p).cuts) == 20  # the 20 vertex stars
@@ -520,7 +525,7 @@ def test_side_scan_matches_max_flow_enumeration():
     skipped = 0
     for g, groups, cuts in _catalog_and_desk_cuts():
         assert mincut._side_scan_cuts(g, groups) == list(cuts), g
-        if scan_costs(g)["tree"][0] > mincut.DEFAULT_BUDGET:
+        if scan_costs(g)["tree"] > mincut.DEFAULT_BUDGET:
             skipped += 1
             continue
         assert mincut._tree_scan_cuts(g, groups) == list(cuts), g
