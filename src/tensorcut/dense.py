@@ -9,9 +9,10 @@ family, which admit further cuts.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import (
     Edge,
@@ -106,10 +107,33 @@ def dense_precondition(h: Graph) -> bool:
     return ok
 
 
+# kappa' of each first factor seen while a campaign runs; None outside one.
+_kappas: Optional[dict[Graph, int]] = None
+
+
 def _kappa(g: Graph) -> int:
+    """kappa'(g) of a first factor, by this module's ``edge_connectivity``:
+    once per graph inside ``_kappa_per_campaign``, else on every call."""
     if g.n < 2:
         return 0
-    return edge_connectivity(g).value
+    if _kappas is None:
+        return edge_connectivity(g).value
+    value = _kappas.get(g)
+    if value is None:
+        value = _kappas[g] = edge_connectivity(g).value
+    return value
+
+
+@contextmanager
+def _kappa_per_campaign() -> Iterator[None]:
+    """Keep each first factor's kappa' for the closed form, the criterion
+    and the classifier until the block ends, by exception too."""
+    global _kappas
+    outer, _kappas = _kappas, {}
+    try:
+        yield
+    finally:
+        _kappas = outer
 
 
 def _formula(factor_cut_bound: int, degree_bound: int) -> FormulaResult:

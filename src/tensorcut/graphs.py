@@ -160,19 +160,28 @@ class Graph:
     def component_count(self) -> int:
         return len(components(self.adjacency_masks))
 
-    def is_connected(self) -> bool:
-        """The closure of vertex 0 is every vertex. K_1 is connected."""
-        if self.n == 0:
-            raise ValueError("connectivity undefined for the empty graph")
+    @cached_property
+    def _connected(self) -> bool:
         return closure(1, self.adjacency_masks) == (1 << self.n) - 1
 
-    def is_bipartite(self) -> bool:
-        """No odd cycle: in the bipartite double cover G x K_2, where vertex v
-        has the copies v and v + n, no component holds both copies of a
-        vertex."""
+    @cached_property
+    def _bipartite(self) -> bool:
         n, adj = self.n, self.adjacency_masks
         cover = [a << n for a in adj] + list(adj)
         return not any(comp >> n & comp for comp in components(cover))
+
+    def is_connected(self) -> bool:
+        """The closure of vertex 0 is every vertex, found once per graph.
+        K_1 is connected."""
+        if self.n == 0:
+            raise ValueError("connectivity undefined for the empty graph")
+        return self._connected
+
+    def is_bipartite(self) -> bool:
+        """No odd cycle, found once per graph: in the bipartite double cover
+        G x K_2, where vertex v has the copies v and v + n, no component
+        holds both copies of a vertex."""
+        return self._bipartite
 
 
 def remove_edges(g: Graph, cut: Iterable[Edge]) -> Graph:

@@ -36,6 +36,7 @@ from .dense import (
     CutVerdict,
     ExcludedCaseError,
     FormulaResult,
+    _kappa_per_campaign,
     classify_min_cut,
     dense_precondition,
     exceptional_cut,
@@ -487,9 +488,10 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
     """Records come check by check, each check numbering its pairs G-major.
 
     The loop runs G outermost, so the checks share each pair's context and
-    it lives only while its G is current.  A campaign in which some check
-    would get no pair is bad input: ValueError names the check and the
-    source that left it without a factor.
+    it lives only while its G is current.  kappa' of each G is computed once
+    for the campaign (``dense._kappa_per_campaign``).  A campaign in which
+    some check would get no pair is bad input: ValueError names the check
+    and the source that left it without a factor.
     """
     g_list = _g_corpus(config)
     if not g_list:
@@ -509,18 +511,19 @@ def run_campaign(config: CampaignConfig) -> VerificationReport:
                              f"{config.h_source!r} holds no {_SECOND_FACTOR[check]} on "
                              f"3..{config.max_h_order} vertices")
     per_check: dict[str, list[dict]] = {check: [] for check in config.checks}
-    for g in g_list:
-        pairs: dict[Graph, _Pair] = {}
-        for check, hs in second_factors.items():
-            out = per_check[check]
-            for h in hs:
-                pair = pairs.setdefault(h, _Pair(g, h, config))
-                t0 = time.perf_counter()
-                rec = _CHECK_FUNCS[check](pair)
-                rec["ms"] = int(round((time.perf_counter() - t0) * 1000))
-                rec.update(record="instance", check=check, pair=len(out),
-                           g=emit_graph6(g), h=emit_graph6(h))
-                out.append(rec)
+    with _kappa_per_campaign():
+        for g in g_list:
+            pairs: dict[Graph, _Pair] = {}
+            for check, hs in second_factors.items():
+                out = per_check[check]
+                for h in hs:
+                    pair = pairs.setdefault(h, _Pair(g, h, config))
+                    t0 = time.perf_counter()
+                    rec = _CHECK_FUNCS[check](pair)
+                    rec["ms"] = int(round((time.perf_counter() - t0) * 1000))
+                    rec.update(record="instance", check=check, pair=len(out),
+                               g=emit_graph6(g), h=emit_graph6(h))
+                    out.append(rec)
     records = [rec for recs in per_check.values() for rec in recs]
     summary = {
         "record": "summary",
@@ -549,10 +552,15 @@ _CSV_COLUMNS = ("record", "check", "pair", "g", "h", "status", "ms", "details")
 _CSV_SKIP = set(_CSV_COLUMNS) - {"details"}
 
 
+# json.dumps with separators would build an encoder per record
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_jsonl(report: VerificationReport, stream: TextIO) -> None:
-    for rec in report.records:
-        stream.write(json.dumps(rec) + "\n")
-    stream.write(json.dumps(report.summary) + "\n")
+    """One compact JSON object per line, without spaces after separators:
+    the records, then the summary."""
+    for rec in report.records + [report.summary]:
+        stream.write(_COMPACT_JSON.encode(rec) + "\n")
 
 
 def write_csv(report: VerificationReport, stream: TextIO) -> None:

@@ -286,11 +286,11 @@ def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     number of edges between them, and |delta(S)| = sum of the degrees over S
     - 2 * the weight inside S; kappa' is the least value.  The weights come
     from the quotient by the groups (``_quotient``), one pass over the edges,
-    and each degree is a row sum of them.  The low groups
-    0..l-1 are split off: each union A of them that holds group 0 is a lane,
-    a fixed-width field of one int, and the tables of |delta(A)| and of each
-    group's weight to A are built over the lanes by doubling, one low group
-    at a time.  The high groups then join and leave B in Gray-code order,
+    and each degree is a row sum of them; its map of each vertex to its
+    group lists each group's members.  The low groups 0..l-1 are split off:
+    each union A of them that holds group 0 is a lane, a fixed-width field
+    of one int, and the tables of |delta(A)| and of each group's weight to
+    A are built over the lanes by doubling, one low group at a time.  The high groups then join and leave B in Gray-code order,
     each move updating every lane's |delta(A | B)| at once, from one popcount
     per member of the group that moves.  The fields are offset by the least
     value so far, with a guard bit on top, so one mask test finds the lanes
@@ -298,9 +298,10 @@ def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
     singleton groups this is the scan of all 2**(n-1) - 1 vertex sides.
     """
     n, adj, k = g.n, g.adjacency_masks, len(groups)
-    # per group, each member's neighbours outside the group
-    outside = [tuple(adj[v] & ~grp for v in range(n) if grp >> v & 1) for grp in groups]
-    _, weight = _quotient(g, groups)
+    group, weight = _quotient(g, groups)
+    outside: list[list[int]] = [[] for _ in groups]
+    for v, i in enumerate(group):  # per group, each member's neighbours outside it
+        outside[i].append(adj[v] & ~groups[i])
     deg = [sum(row) for row in weight]
     low, width = _side_layout(g, k)
     ones, lanes = 1, 1

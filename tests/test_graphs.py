@@ -97,6 +97,26 @@ def test_is_bipartite_examples():
     assert complete_bipartite_graph(3, 4).is_bipartite()
 
 
+def test_cached_connectivity_leaves_equality_and_hash_alone():
+    asked, fresh = cycle_graph(5), cycle_graph(5)
+    assert asked.is_connected() and not asked.is_bipartite()
+    assert asked == fresh and hash(asked) == hash(fresh)
+    assert {asked: 1}[fresh] == 1
+    # the fresh graph finds its own answers
+    assert fresh.is_connected() and not fresh.is_bipartite()
+
+
+def test_remove_edges_gets_its_own_connectivity():
+    g = cycle_graph(6)
+    assert g.is_connected() and g.is_bipartite()
+    cut = remove_edges(g, {(0, 1), (3, 4)})
+    assert cut is not g
+    assert not cut.is_connected() and cut.is_bipartite()
+    assert g.is_connected()
+    odd = remove_edges(complete_graph(4), {(0, 1)})
+    assert odd.is_connected() and not odd.is_bipartite()
+
+
 def test_validation():
     with pytest.raises(ValueError):
         Graph(3, {(1, 1)})
@@ -170,8 +190,10 @@ def _check_traversal(g: Graph) -> None:
     # labels number the components in order of their least vertex
     assert list(dict.fromkeys(labels)) == list(range(len(parts)))
     assert g.component_count() == len(parts)
-    assert g.is_connected() == nx.is_connected(nxg)
-    assert g.is_bipartite() == nx.is_bipartite(nxg)
+    # the second call reads the answer the first one found
+    for _ in range(2):
+        assert g.is_connected() == nx.is_connected(nxg)
+        assert g.is_bipartite() == nx.is_bipartite(nxg)
 
 
 @settings(max_examples=100, deadline=None)

@@ -405,6 +405,70 @@ def test_pairs_enumerate_once(monkeypatch):
     assert flows == []
 
 
+def test_kappa_of_each_first_factor_runs_once_per_campaign(monkeypatch):
+    # the closed form, the complete-factor form and the criterion all read
+    # kappa'(G); in a campaign each G gets one max-flow, outside one each call
+    flows = []
+    real_flow = mincut.edge_connectivity
+
+    def counting_flow(g):
+        flows.append(g)
+        return real_flow(g)
+
+    for module in (harness, dense, mincut):
+        monkeypatch.setattr(module, "edge_connectivity", counting_flow)
+    cfg = CampaignConfig(max_g_order=3, max_h_order=4,
+                         checks=("theorem1", "corollary1", "corollary2"))
+    g_list = _g_corpus(cfg)
+    report = run_campaign(cfg)
+    assert len(report.records) == 18
+    assert all(r["status"] == "ok" for r in report.records)
+    assert [g for g in flows if g in g_list] == g_list
+    flows.clear()
+    g, h = g_list[-1], complete_graph(4)
+    assert kappa_formula(g, h) == kappa_formula(g, h)
+    assert flows == [g, g]
+
+
+def test_kappa_memo_ends_with_its_campaign(monkeypatch):
+    cfg = CampaignConfig(max_g_order=3, max_h_order=4, checks=("theorem1",))
+    g_list = _g_corpus(cfg)
+    assert run_campaign(cfg).summary["mismatches"] == 0
+    # a fault brought in between campaigns reaches each G's kappa' in the next
+    shifted, factors = _off_by_one(harness.edge_connectivity), []
+
+    def wrong(g):
+        if g in g_list:
+            factors.append(g)
+        return shifted(g)
+
+    for module in (harness, dense):
+        monkeypatch.setattr(module, "edge_connectivity", wrong)
+    report = run_campaign(cfg)
+    assert factors == g_list
+    assert len(report.records) == report.summary["mismatches"] == 6
+    certs = [r["certificate"] for r in report.records]
+    assert (certs[0]["expected"], certs[0]["observed"]) == (2, 3)
+    assert all(replay_certificate(cert)["reproduced"] for cert in certs)
+
+
+def test_kappa_memo_ends_when_its_campaign_raises(monkeypatch):
+    def broken(pair):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setitem(harness._CHECK_FUNCS, "theorem1", broken)
+    with pytest.raises(RuntimeError):
+        run_campaign(CampaignConfig(max_g_order=3, max_h_order=4, checks=("theorem1",)))
+    flows = []
+    real_flow = dense.edge_connectivity
+    monkeypatch.setattr(dense, "edge_connectivity",
+                        lambda g: flows.append(g) or real_flow(g))
+    g, h = complete_graph(3), complete_graph(4)
+    kappa_formula(g, h)
+    kappa_formula(g, h)
+    assert flows == [g, g]
+
+
 def test_exit_code_on_mismatch():
     report = VerificationReport(records=[], summary={
         "mismatches": 2, "inconclusive": 0,
@@ -426,6 +490,8 @@ def test_jsonl_and_csv_emission():
     assert parsed[-1]["tensorcut_version"] == tensorcut.__version__
     assert parsed[-1]["python_version"] == platform.python_version()
     assert all(rec["record"] == "instance" for rec in parsed[:-1])
+    # compact JSON: no space after a separator
+    assert lines == [json.dumps(rec, separators=(",", ":")) for rec in parsed]
 
     buf = io.StringIO()
     write_csv(report, buf)
