@@ -98,15 +98,6 @@ class Graph:
         object.__setattr__(self, "edges", norm)
 
     @cached_property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted neighbour tuples, built only for ``neighbors``."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(b)) for b in nbrs)
-
-    @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor sets as integer bitmasks."""
         masks = [0] * self.n
@@ -124,16 +115,9 @@ class Graph:
     def _min_degree(self) -> int:
         return min(self.degrees)
 
-    def _check_vertex(self, v: int) -> None:
+    def degree(self, v: int) -> int:
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
-        return self._adj[v]
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
         return self.degrees[v]
 
     def min_degree(self) -> int:

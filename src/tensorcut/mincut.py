@@ -1,11 +1,13 @@
 """Exact edge connectivity, exact enumeration of all minimum cuts, and a
 budgeted brute-force oracle for both.
 
-The exact routes share one loop of unit-capacity max-flows, from the block
-{0..t-1} to each sink t: kappa' is the least flow value, and every minimum
-cut a vertex set closed under the residual arcs of a flow that attains it
-(Picard and Queyranne, "On the structure of all minimum cuts in a network",
-1980).  The max-flow routes need no budget.
+The exact routes run one and the same loop of unit-capacity max-flows on
+the graph's edge set, from the block {0..t-1} to each sink t: kappa' is the
+least flow value, ``edge_connectivity`` reads its witness off the first flow
+that attains it, and ``enumerate_min_cuts`` lists every minimum cut as a
+vertex set closed under the residual arcs of a flow that attains it (Picard
+and Queyranne, "On the structure of all minimum cuts in a network", 1980).
+The max-flow routes need no budget.
 
 The oracle reads only the graph and calls no max-flow.  Two vertices with
 more than delta edge-disjoint short paths between them, the edge uv and one
@@ -68,15 +70,17 @@ class CutEnumeration:
 def _unit_max_flow(
     g: Graph, sources: Iterable[int], t: int, limit: Optional[int] = None
 ) -> tuple[int, Optional[int], list[dict[int, int]]]:
-    """Edmonds-Karp with capacity 1 per direction on every edge, from the
-    source set merged into one vertex to the sink t.
+    """Edmonds-Karp with capacity 1 per direction on every edge of
+    ``g.edges``, from the source set merged into one vertex to the sink t.
 
     Returns (flow, bitmask of what the sources reach in the residual graph,
     residual capacities), where ``cap[u][w] > 0`` is a residual arc u -> w.
     The search stops when the flow reaches ``limit``, and the reach is None.
     """
     n = g.n
-    cap = [dict.fromkeys(g.neighbors(v), 1) for v in range(n)]
+    cap = [{} for _ in range(n)]
+    for u, v in g.edges:
+        cap[u][v] = cap[v][u] = 1
     sources = tuple(sources)
     flow = 0
     while limit is None or flow < limit:
@@ -132,10 +136,11 @@ def _disconnected_cut(g: Graph) -> Optional[MinCutResult]:
 # ---------------------------------------------------------------------------
 # Exact kappa' and all minimum cuts by block flows (Picard-Queyranne).
 
-def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int]:
-    """Every vertex set, as a bitmask, that contains the bitmask ``block``,
-    avoids t and is closed under the residual arcs ``cap`` of a maximum flow
-    from the block to t: the source sides of the minimum block-t cuts.
+def _closed_sides(cap: list[dict[int, int]], reach: int, t: int) -> Iterator[int]:
+    """Every vertex set, as a bitmask, that contains ``reach``, avoids t and
+    is closed under the residual arcs ``cap`` of a maximum flow to t, where
+    ``reach`` is what the flow's sources reach along those arcs: the source
+    sides of the minimum cuts between the sources and t.
 
     Include/exclude branching on the lowest undecided vertex: including it
     adds what it reaches, excluding it adds what reaches it.  Both closures
@@ -149,7 +154,7 @@ def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int
                 succ[u] |= 1 << w
                 pred[w] |= 1 << u
     full = (1 << n) - 1
-    stack = [(closure(block, succ), closure(1 << t, pred))]
+    stack = [(reach, closure(1 << t, pred))]
     while stack:
         inside, outside = stack.pop()
         free = full & ~(inside | outside)
@@ -161,18 +166,18 @@ def _closed_sides(cap: list[dict[int, int]], block: int, t: int) -> Iterator[int
         stack.append((inside | closure(v, succ), outside))
 
 
-def _block_flows(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int, list]]]:
+def _block_flows(g: Graph) -> tuple[int, list[tuple[int, int, list]]]:
     """kappa' of a connected g with n >= 2, and each sink t whose max-flow
-    from the block {0..t-1} attains it, as (t, residual reach as a bitmask,
-    residual capacities).  A minimum cut delta(S), 0 in S, is a minimum
-    block-t cut at the least t outside S, so kappa' is the least flow.  A
-    flow stops once it passes the least value so far, to list every t that
-    attains kappa' (``ties``), or else once it reaches it, to list the least
-    t only; the first flows stop at delta + 1 (Whitney: kappa' <= delta).
+    from the block {0..t-1} attains it, in ascending t, as (t, residual reach
+    as a bitmask, residual capacities).  A minimum cut delta(S), 0 in S, is
+    a minimum block-t cut at the least t outside S, so kappa' is the least
+    flow.  Each flow stops one above the least value so far, which starts at
+    delta (Whitney: kappa' <= delta), so every t that attains kappa' is
+    listed with its flow run to the end.
     """
-    value, attained = g.min_degree() + 1 - ties, []
+    value, attained = g.min_degree(), []
     for t in range(1, g.n):
-        flow, reach, cap = _unit_max_flow(g, range(t), t, limit=value + ties)
+        flow, reach, cap = _unit_max_flow(g, range(t), t, limit=value + 1)
         if reach is None:
             continue
         if flow < value:
@@ -182,8 +187,8 @@ def _block_flows(g: Graph, ties: bool) -> tuple[int, list[tuple[int, int, list]]
 
 
 def edge_connectivity(g: Graph) -> MinCutResult:
-    """Exact kappa', the first half of ``enumerate_min_cuts``: the least t
-    whose block flow attains kappa', witnessed by the cut around that flow's
+    """Exact kappa' by the flows of ``enumerate_min_cuts``: the least t whose
+    block flow attains kappa', witnessed by the cut around that flow's
     residual reach, the minimal source side.  Disconnected graphs get value
     0 with an empty witness.
 
@@ -194,7 +199,7 @@ def edge_connectivity(g: Graph) -> MinCutResult:
     trivial = _disconnected_cut(g)
     if trivial is not None:
         return trivial
-    value, [(_, reach, _)] = _block_flows(g, ties=False)
+    value, [(_, reach, _), *_] = _block_flows(g)
     return MinCutResult(value, boundary(g, reach))
 
 
@@ -206,10 +211,10 @@ def enumerate_min_cuts(g: Graph) -> CutEnumeration:
     """
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
-    value, attained = _block_flows(g, ties=True)
+    value, attained = _block_flows(g)
     cuts = []
-    for t, _, cap in attained:
-        for side in _closed_sides(cap, (1 << t) - 1, t):
+    for t, reach, cap in attained:
+        for side in _closed_sides(cap, reach, t):
             cut = boundary(g, side)
             assert len(cut) == value
             cuts.append(cut)

@@ -94,6 +94,19 @@ def test_parse_config():
         parse_config("unknown_key = 3")
 
 
+def test_every_config_field_is_a_config_key():
+    # one non-default value per field of CampaignConfig, so a new field
+    # needs a row here; each set by one line parses to the same config
+    values = {"g_source": "random:3", "h_source": "random:2:1", "max_g_order": 4,
+              "max_h_order": 6, "enumeration_budget": 1000, "seed": 7,
+              "checks": ("lemma2", "theorem2"), "oracle": "subset"}
+    assert list(values) == [f.name for f in dataclasses.fields(CampaignConfig)]
+    for key, value in values.items():
+        text = ", ".join(value) if isinstance(value, tuple) else str(value)
+        cfg = parse_config(f"{key} = {text}\n")
+        assert cfg == CampaignConfig(**{key: value}) != CampaignConfig(), key
+
+
 def test_config_errors_name_their_source():
     with pytest.raises(ValueError, match="line 2: max_g_order") as err:
         parse_config("seed = 1\nmax_g_order = x\n")
@@ -516,6 +529,7 @@ def test_replay_reproduces_synthetic_mismatch():
     pair = harness._Pair(complete_graph(2), path_graph(3), CampaignConfig())
     rec = harness._check_lemma2(pair)
     assert rec["status"] == "mismatch" and rec["bound"] == 1
+    assert rec["flows"] == 1  # the first fiber flow splits, and no other runs
     cut = parse_product_cut(rec["certificate"]["cut"], pair.g.n, 3)
     assert len(cut) < rec["bound"]
     assert fibers_contained(pair.g, pair.h, cut) is False  # independent oracle
@@ -790,6 +804,26 @@ def test_injected_fault_is_certified(monkeypatch, check, binding, mutate,
     assert all(cert.keys() == certs[0].keys() for cert in certs)
     assert all(replay_certificate(cert)["reproduced"] for cert in certs)
     assert {r["status"] for r in report.records} <= {"ok", "mismatch"}
+
+
+def test_lemma2_fault_records_the_flows_it_ran(monkeypatch):
+    # the lemma2 row of FAULTS: each mismatch stops at its first split fiber,
+    # and its flows are the min_st_cut calls made on its product
+    wrong, calls = _limit_too_high(harness.min_st_cut), Counter()
+
+    def counted(g, s, t, limit=None):
+        calls[g] += 1
+        return wrong(g, s, t, limit)
+
+    monkeypatch.setattr(harness, "min_st_cut", counted)
+    report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4,
+                                         checks=("lemma2",)))
+    bad = [r for r in report.records if r["status"] == "mismatch"]
+    assert len(bad) == 6
+    for rec in bad:
+        g, h = parse_graph6(rec["g"]), parse_graph6(rec["h"])
+        assert rec["flows"] == calls[direct_product(g, h)]
+    assert [r["flows"] for r in bad] == [1] * 6
 
 
 def test_side_scan_fault_is_certified_under_the_subset_oracle(monkeypatch):

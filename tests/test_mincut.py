@@ -21,6 +21,7 @@ from tensorcut.dense import dense_precondition
 from tensorcut.graphs import (
     Graph,
     boundary,
+    closure,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -390,6 +391,64 @@ def test_block_flow_witness_is_the_sink_loop_one():
     assert len(graphs) == 1145
     for g in graphs:
         assert edge_connectivity(g) == _sink_loop(g), g
+
+
+@functools.cache
+def _flow_graphs():
+    """Every connected graph on 2..6 vertices (142) and every product of the
+    benchmark's desk config, connected G on 2..5 x dense H on 3..4 (60)."""
+    dense = [h for n in (3, 4) for h in all_graphs(n) if dense_precondition(h)]
+    return [g for n in range(2, 7) for g in connected_graphs(n)] + [
+        direct_product(g, h) for n in range(2, 6) for g in connected_graphs(n) for h in dense]
+
+
+def test_each_block_flow_is_a_unit_flow():
+    # every block flow, run to the end and capped at delta, read off its
+    # residual capacities, where u -> w carries 1 - cap[u][w]: the arcs are
+    # both directions of each edge, units are conserved outside the block
+    # and t, and the value is what leaves the block and enters t; a flow
+    # that finishes is maximum, since its residual reach cuts that many edges
+    graphs = _flow_graphs()
+    assert len(graphs) == 202
+    for g in graphs:
+        both_ways = {arc for u, v in g.edges for arc in ((u, v), (v, u))}
+        for t in range(1, g.n):
+            block = (1 << t) - 1
+            for limit in (None, g.min_degree()):
+                flow, reach, cap = mincut._unit_max_flow(g, range(t), t, limit)
+                arcs = {(u, w) for u, row in enumerate(cap) for w in row}
+                assert arcs == both_ways
+                for u, w in arcs:
+                    assert 0 <= cap[u][w] <= 2 and cap[u][w] + cap[w][u] == 2
+                net = [sum(1 - c for c in row.values()) for row in cap]  # out - in
+                assert all(net[v] == 0 for v in range(t + 1, g.n))
+                assert sum(net[:t]) == -net[t] == flow
+                if reach is None:
+                    assert flow == limit
+                else:
+                    succ = [sum(1 << w for w, c in row.items() if c > 0) for row in cap]
+                    assert reach == closure(block, succ)
+                    assert not reach >> t & 1
+                    assert len(boundary(g, reach)) == flow
+
+
+def test_edge_connectivity_runs_the_flows_of_the_enumeration(monkeypatch):
+    # kappa' alone pays for no flow that the cut list does not also run
+    real, calls = mincut._unit_max_flow, []
+
+    def recorded(g, sources, t, limit=None):
+        calls.append((t, limit))
+        return real(g, sources, t, limit)
+
+    monkeypatch.setattr(mincut, "_unit_max_flow", recorded)
+    for g in _flow_graphs():
+        calls.clear()
+        edge_connectivity(g)
+        kappa_flows = list(calls)
+        calls.clear()
+        enumerate_min_cuts(g)
+        assert kappa_flows == calls, g
+        assert [t for t, _ in calls] == list(range(1, g.n))
 
 
 def test_enumerate_c6():
