@@ -43,6 +43,7 @@ from .harness import (
     parse_config,
     replay_certificate,
     run_campaign,
+    run_check,
     write_csv,
     write_jsonl,
 )
@@ -56,7 +57,6 @@ from .mincut import (
     enumerate_min_cuts,
     enumerate_min_cuts_subset,
     format_cut,
-    is_super_edge_connected,
     is_vertex_star,
     min_st_cut,
 )

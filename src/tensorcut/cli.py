@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import Iterator, Optional
 
 from .dense import (
     CutClassificationError,
@@ -18,16 +18,17 @@ from .dense import (
     classify_min_cut,
     exceptional_member,
     is_super_edge_connected_kn,
-    kappa_formula,
 )
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import emit_graph6, read_graph6
 from .graphs import Graph, complete_graph
 from .harness import (
     CHECK_NAMES,
+    EXIT_CODES,
     CampaignConfig,
     load_config,
     parse_checks,
     run_campaign,
+    run_check,
     write_csv,
     write_jsonl,
 )
@@ -37,7 +38,6 @@ from .mincut import (
     edge_connectivity,
     edge_connectivity_subset,
     format_cut,
-    is_super_edge_connected,
 )
 from .product import direct_product, parse_product_cut
 
@@ -46,27 +46,31 @@ class _GraphReader:
     """Resolve graph arguments; '-' consumes successive stdin lines."""
 
     def __init__(self) -> None:
-        self._stdin: Optional[list[str]] = None
-        self._used = 0
+        self._stdin: Optional[Iterator[Graph]] = None
 
     def read(self, arg: str) -> Graph:
         if arg == "-":
             if self._stdin is None:
-                self._stdin = [l for l in sys.stdin.read().splitlines() if l.strip()]
-            if self._used >= len(self._stdin):
+                self._stdin = read_graph6(sys.stdin)
+            g = next(self._stdin, None)
+            if g is None:
                 raise ValueError("not enough graph6 lines on standard input")
-            line = self._stdin[self._used]
-            self._used += 1
-            return parse_graph6(line)
+            return g
         with open(arg, encoding="ascii") as fh:
-            for line in fh:
-                if line.strip():
-                    return parse_graph6(line)
-        raise ValueError(f"no graph6 line found in {arg}")
+            g = next(read_graph6(fh), None)
+        if g is None:
+            raise ValueError(f"no graph6 line found in {arg}")
+        return g
 
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload))
+
+
+def _emit_record(rec: dict) -> int:
+    """Print a check's record and exit by its status."""
+    _emit(rec)
+    return EXIT_CODES[rec["status"]]
 
 
 def _cmd_product(args, reader: _GraphReader) -> int:
@@ -83,32 +87,17 @@ def _check_budget(budget: int) -> None:
 
 def _cmd_kappa(args, reader: _GraphReader) -> int:
     _check_budget(args.budget)
-
-    def oracle_value(graph: Graph) -> dict:
-        if args.oracle == "subset":
-            res = edge_connectivity_subset(graph, args.budget)
-        else:
-            res = edge_connectivity(graph)
-        return {"kappa": res.value, "witness": format_cut(res.witness)}
-
-    if args.graph is not None:
-        payload = {"oracle": args.oracle, **oracle_value(reader.read(args.graph))}
-        _emit(payload)
-        return 0
-
-    g = reader.read(args.factors[0])
-    h = reader.read(args.factors[1])
-    res = kappa_formula(g, h)
-    oracle = oracle_value(direct_product(g, h))
-    _emit({
-        "formula": res.value,
-        "branch": res.branch.value,
-        "factor_cut_bound": res.factor_cut_bound,
-        "degree_bound": res.degree_bound,
-        "oracle": oracle["kappa"],
-        "match": res.value == oracle["kappa"],
-    })
-    return 0 if res.value == oracle["kappa"] else 1
+    if args.factors is not None:
+        g = reader.read(args.factors[0])
+        h = reader.read(args.factors[1])
+        return _emit_record(run_check("theorem1", g, h, args.oracle, args.budget))
+    graph = reader.read(args.graph)
+    if args.oracle == "subset":
+        res = edge_connectivity_subset(graph, args.budget)
+    else:
+        res = edge_connectivity(graph)
+    _emit({"oracle": args.oracle, "kappa": res.value, "witness": format_cut(res.witness)})
+    return 0
 
 
 def _cmd_classify(args, reader: _GraphReader) -> int:
@@ -134,24 +123,17 @@ def _cmd_classify(args, reader: _GraphReader) -> int:
 def _cmd_super(args, reader: _GraphReader) -> int:
     _check_budget(args.budget)
     g = reader.read(args.g)
+    if args.brute:
+        return _emit_record(run_check("corollary2", g, complete_graph(args.n),
+                                      "subset", args.budget))
     payload: dict = {"n": args.n}
     try:
-        expected = payload["super"] = is_super_edge_connected_kn(g, args.n)
+        payload["super"] = is_super_edge_connected_kn(g, args.n)
     except ExcludedCaseError as exc:
-        expected = exc.bruteforce_answer
-        payload.update(excluded=True, bruteforce_answer=expected, reason=str(exc))
-    code = 0
-    if args.brute:
-        try:
-            brute = is_super_edge_connected(
-                direct_product(g, complete_graph(args.n)), args.budget
-            )
-        except BudgetExceeded:
-            brute = None
-        payload["bruteforce"] = brute
-        code = 2 if brute is None else int(brute != expected)
+        payload.update(excluded=True, bruteforce_answer=exc.bruteforce_answer,
+                       reason=str(exc))
     _emit(payload)
-    return code
+    return 0
 
 
 def _cmd_family(args, reader: _GraphReader) -> int:
@@ -194,11 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("h", help="graph6 file or '-'")
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("kappa", help="edge connectivity: closed form and/or oracle")
+    p = sub.add_parser("kappa", help="edge connectivity: oracle, or the theorem1 check")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--graph", help="single graph: oracle kappa'")
     mode.add_argument("--factors", nargs=2, metavar=("G", "H"),
-                      help="two factors: closed form vs oracle on the product")
+                      help="two factors: the theorem1 record of the pair")
     p.add_argument("--oracle", choices=("maxflow", "subset"), default="maxflow")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="most 64-bit words one subset-oracle scan may touch")
@@ -214,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("n", type=int)
     p.add_argument("--brute", action="store_true",
-                   help="also run the exhaustive definitional check: exit 1 "
-                        "when it disagrees, 2 when over budget")
+                   help="print the corollary2 record of (G, K_n) by the subset "
+                        "oracle: exit 1 on a mismatch, 2 when over budget")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="most 64-bit words the --brute scan may touch")
     p.set_defaults(func=_cmd_super)

@@ -7,7 +7,9 @@ enumeration (``oracle = maxflow``), or the budgeted subset scan (``oracle =
 subset``).  Every check ends in one verdict rule, ``_settle``: an observation
 of None, which only the subset oracle's budget gives, is inconclusive; one
 equal to the expectation is ok; anything else is a mismatch with a replayable
-counterexample certificate, never an exception.
+counterexample certificate, never an exception.  ``run_check`` runs one
+check on one pair, as a campaign would; the command line and certificate
+replay go through it.
 
 ``theorem2`` first compares the closed form's value with kappa', the size of
 the listed cuts, and then checks an equality of cut sets: the listed minimum
@@ -95,6 +97,9 @@ class CampaignConfig:
             raise ValueError("max_h_order must be >= 3")
         if self.enumeration_budget < 0:
             raise ValueError("enumeration_budget must be >= 0")
+        if isinstance(self.checks, str):
+            raise ValueError(f"checks must be a sequence of check names, "
+                             f"not the string {self.checks!r}")
         if not self.checks:
             raise ValueError("at least one check must be selected")
         unknown = set(self.checks) - set(CHECK_NAMES)
@@ -465,6 +470,10 @@ _CHECK_FUNCS = {
 # ---------------------------------------------------------------------------
 # Campaign runner and reports.
 
+# The exit code of a record's status; a report exits by its worst status.
+EXIT_CODES = {"ok": 0, "mismatch": 1, "inconclusive": 2}
+
+
 @dataclass
 class VerificationReport:
     records: list[dict]
@@ -472,11 +481,12 @@ class VerificationReport:
 
     @property
     def exit_code(self) -> int:
+        """A mismatch outranks an inconclusive instance, which outranks ok."""
         if self.summary["mismatches"] > 0:
-            return 1
+            return EXIT_CODES["mismatch"]
         if self.summary["inconclusive"] > 0:
-            return 2
-        return 0
+            return EXIT_CODES["inconclusive"]
+        return EXIT_CODES["ok"]
 
 
 # The second factors of each check, drawn from the h_source on 3..max_h_order.
@@ -576,6 +586,15 @@ def write_csv(report: VerificationReport, stream: TextIO) -> None:
         writer.writerow(row)
 
 
+def run_check(check: str, g: Graph, h: Graph, oracle: str = "maxflow",
+              budget: int = DEFAULT_BUDGET) -> dict:
+    """The record of one check on the pair (g, h), as a campaign with this
+    oracle and budget gives it, without the campaign's fields (record, check,
+    pair, g, h, ms): its status, and its certificate on a mismatch."""
+    config = CampaignConfig(checks=(check,), oracle=oracle, enumeration_budget=budget)
+    return _CHECK_FUNCS[check](_Pair(g, h, config))
+
+
 def replay_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> dict:
     """Re-run the check a certificate came from, with its "oracle" (default
     max-flow), on its own graph6 payloads.
@@ -586,17 +605,15 @@ def replay_certificate(cert: dict, budget: int = DEFAULT_BUDGET) -> dict:
     re-run.  Raises BudgetExceeded when the re-run does not fit the budget.
     """
     check = cert["check"]
-    config = CampaignConfig(checks=(check,), oracle=cert.get("oracle", "maxflow"),
-                            enumeration_budget=budget)
-    pair = _Pair(parse_graph6(cert["g"]), parse_graph6(cert["h"]), config)
-    rec = _CHECK_FUNCS[check](pair)
+    g, h = parse_graph6(cert["g"]), parse_graph6(cert["h"])
+    rec = run_check(check, g, h, cert.get("oracle", "maxflow"), budget)
     if rec["status"] == "inconclusive":
         raise BudgetExceeded(f"replaying {check} does not fit the budget {budget}")
     out = {"check": check, **rec, "reproduced": rec["status"] == "mismatch"}
     if check == "theorem2" and "cut" in cert:
         try:
-            cut = parse_product_cut(cert["cut"], pair.g.n, pair.h.n)
-            out["verdict"] = classify_min_cut(pair.g, pair.h, cut).verdict.value
+            cut = parse_product_cut(cert["cut"], g.n, h.n)
+            out["verdict"] = classify_min_cut(g, h, cut).verdict.value
         except CutClassificationError:
             out["verdict"] = "unclassifiable"
         except ValueError as exc:

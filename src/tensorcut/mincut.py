@@ -31,8 +31,7 @@ The budget counts the 64-bit words that a scan touches.
 when it fits, and raises BudgetExceeded before any scan starts when neither
 does, so an answer depends only on the graph and the budget.
 ``edge_connectivity_subset`` answers with the least minimum cut by sorted
-edge list, ``enumerate_min_cuts_subset`` with all of them, and
-``is_super_edge_connected`` reads that list.
+edge list, and ``enumerate_min_cuts_subset`` with all of them.
 """
 
 from __future__ import annotations
@@ -480,15 +479,6 @@ def is_vertex_star(g: Graph, cut: Iterable[Edge]) -> Optional[int]:
         if norm == boundary(g, 1 << v):
             return v
     return None
-
-
-def is_super_edge_connected(g: Graph, budget: int = DEFAULT_BUDGET) -> bool:
-    """Definitional check: every minimum edge cut is a vertex star.
-
-    Raises BudgetExceeded when the cut enumeration does not fit the budget.
-    """
-    return all(is_vertex_star(g, c) is not None
-               for c in enumerate_min_cuts_subset(g, budget).cuts)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@ import json
 
 import pytest
 
-from tensorcut import cli, harness
+from tensorcut import cli, dense, harness
 from tensorcut.cli import main
 from tensorcut.dense import CutClassificationError, exceptional_cut, exceptional_member
 from tensorcut.graph6 import emit_graph6, parse_graph6
 from tensorcut.graphs import Graph, boundary, complete_graph, cycle_graph
+from tensorcut.harness import replay_certificate
 from tensorcut.product import direct_product, format_product_cut, induced_cut
 from test_dense import bridged
-from test_harness import vacuous_configs
+from test_harness import _negated, _off_by_one, vacuous_configs
 
 
 @pytest.fixture
@@ -61,9 +62,33 @@ def test_kappa_factors(g6_files, capsys):
     k3 = g6_files("k3.g6", complete_graph(3))
     code, payload = run_json(capsys, ["kappa", "--factors", k2, k3])
     assert code == 0
-    assert payload["formula"] == payload["oracle"] == 2
-    assert payload["branch"] == "degree_bound"
-    assert payload["match"] is True
+    # the theorem1 record of (K_2, K_3), as a campaign gives it
+    assert payload == {"formula": 2, "branch": "degree_bound", "oracle": 2, "status": "ok"}
+    # over budget, the record is printed too
+    code = main(["kappa", "--factors", k2, k3, "--oracle", "subset", "--budget", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"formula": 2, "branch": "degree_bound",
+                                        "oracle": None, "status": "inconclusive"}
+
+
+def test_kappa_factors_mismatch_is_certified(g6_files, capsys, monkeypatch):
+    # a closed form one above kappa', bound as the theorem1 row of FAULTS
+    # binds it, prints a certificate that replays under the same fault
+    real = harness.kappa_formula
+    for module in (harness, dense):
+        if module.kappa_formula is real:
+            monkeypatch.setattr(module, "kappa_formula", _off_by_one(real))
+    k2 = g6_files("k2.g6", complete_graph(2))
+    k3 = g6_files("k3.g6", complete_graph(3))
+    code, payload = run_json(capsys, ["kappa", "--factors", k2, k3])
+    assert code == 1
+    cert = {"check": "theorem1", "g": "A_", "h": "Bw", "oracle": "maxflow",
+            "expected": 3, "observed": 2}
+    assert payload == {"formula": 3, "branch": "degree_bound", "oracle": 2,
+                       "status": "mismatch", "certificate": cert}
+    assert replay_certificate(cert)["reproduced"] is True
 
 
 def test_kappa_single_graph_subset_oracle(g6_files, capsys):
@@ -192,25 +217,34 @@ def test_super_command(g6_files, capsys):
     c4 = g6_files("c4.g6", cycle_graph(4))
     code, payload = run_json(capsys, ["super", c4, "3", "--brute"])
     assert code == 0
-    assert payload["super"] is True
-    assert payload["bruteforce"] is True
+    # the corollary2 record of (C_4, K_3): C_4 x K_3 is super edge connected
+    assert payload == {"n": 3, "bruteforce": True, "predicted": True, "status": "ok"}
+    code, payload = run_json(capsys, ["super", c4, "3"])
+    assert code == 0
+    assert payload == {"n": 3, "super": True}
 
 
 def test_super_excluded_pair(g6_files, capsys):
+    # K_2 x K_3 = C_6, which is not super edge connected
     k2 = g6_files("k2.g6", complete_graph(2))
     code, payload = run_json(capsys, ["super", k2, "3", "--brute"])
     assert code == 0
+    assert payload == {"n": 3, "bruteforce": False, "excluded": True, "predicted": None,
+                       "status": "ok"}
+    code, payload = run_json(capsys, ["super", k2, "3"])
+    assert code == 0
     assert payload["excluded"] is True
     assert payload["bruteforce_answer"] is False
-    assert payload["bruteforce"] is False
 
 
 def test_super_brute_over_budget(g6_files, capsys):
+    # the side scan of C_5 x K_4 touches 57,344 words
     c5 = g6_files("c5.g6", cycle_graph(5))
-    code, payload = run_json(capsys, ["super", c5, "4", "--brute", "--budget", "10"])
-    assert code == 2  # inconclusive, and the payload is still printed
-    assert payload["super"] is True
-    assert payload["bruteforce"] is None
+    for budget in ("10", "1000"):
+        code, payload = run_json(capsys, ["super", c5, "4", "--brute", "--budget", budget])
+        assert code == 2  # inconclusive, and the record is still printed
+        assert payload == {"n": 4, "bruteforce": None, "predicted": True,
+                           "status": "inconclusive"}
     code, payload = run_json(capsys, ["super", c5, "4", "--budget", "10"])
     assert code == 0 and "bruteforce" not in payload
 
@@ -227,16 +261,21 @@ def test_super_brute_settles_k4_plus_pendant(g6_files, capsys):
 @pytest.mark.parametrize("graph, binding", [
     (cycle_graph(4), "is_super_edge_connected_kn"),
     # the excluded pair raises before the criterion's negation could act, so
-    # the brute force is negated against its attached answer instead
-    (complete_graph(2), "is_super_edge_connected"),
+    # the star test is negated instead: its answer is never None, so every
+    # cut reads as a star, against the criterion's attached answer
+    (complete_graph(2), "is_vertex_star"),
 ])
 def test_super_brute_disagreement_fails(g6_files, capsys, monkeypatch, graph, binding):
-    real = getattr(cli, binding)
-    monkeypatch.setattr(cli, binding, lambda *args: not real(*args))
+    monkeypatch.setattr(harness, binding, _negated(getattr(harness, binding)))
     path = g6_files("g.g6", graph)
     code, payload = run_json(capsys, ["super", path, "3", "--brute"])
     assert code == 1
-    assert payload["bruteforce"] != payload.get("super", payload.get("bruteforce_answer"))
+    cert = payload["certificate"]
+    assert cert == {"check": "corollary2", "g": emit_graph6(graph), "h": "Bw",
+                    "oracle": "subset", "expected": not payload["bruteforce"],
+                    "observed": payload["bruteforce"]}
+    assert payload["predicted"] == (None if payload.get("excluded") else cert["expected"])
+    assert replay_certificate(cert)["reproduced"] is True
 
 
 def test_family_command(capsys):

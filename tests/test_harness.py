@@ -33,6 +33,7 @@ from tensorcut.harness import (
     random_graph_with_min_degree,
     replay_certificate,
     run_campaign,
+    run_check,
     write_csv,
     write_jsonl,
 )
@@ -67,6 +68,13 @@ def test_config_defaults_and_validation():
         CampaignConfig(enumeration_budget=-1)
     with pytest.raises(ValueError):
         CampaignConfig(oracle="magic")
+
+
+def test_config_rejects_a_bare_check_string():
+    # a string is a sequence of letters, and would be read as one check each
+    with pytest.raises(ValueError, match="^checks must be a sequence of check names, "
+                                         "not the string 'theorem1'$"):
+        CampaignConfig(checks="theorem1")
 
 
 def test_config_checks_are_canonically_ordered():
@@ -514,6 +522,19 @@ def test_jsonl_and_csv_emission():
     details = json.loads(rows[0]["details"])
     assert "status" not in details  # surfaced as a plain column
     assert rows[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("oracle", ["maxflow", "subset"])
+def test_run_check_gives_the_campaign_record(oracle):
+    # one check on one pair reads as its campaign record, less the fields
+    # that place it in the campaign
+    report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4,
+                                         checks=CHECK_NAMES, oracle=oracle))
+    placed = ("record", "check", "pair", "g", "h", "ms")
+    for rec in report.records:
+        alone = run_check(rec["check"], parse_graph6(rec["g"]), parse_graph6(rec["h"]),
+                          oracle)
+        assert alone == {k: v for k, v in rec.items() if k not in placed}
 
 
 def test_replay_consistent_record():

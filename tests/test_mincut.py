@@ -36,7 +36,6 @@ from tensorcut.mincut import (
     enumerate_min_cuts,
     enumerate_min_cuts_subset,
     format_cut,
-    is_super_edge_connected,
     is_vertex_star,
     min_st_cut,
 )
@@ -45,6 +44,12 @@ from test_dense import bridged
 
 C6 = cycle_graph(6)
 K4 = complete_graph(4)
+
+
+def _all_stars(g):
+    """Super edge connectivity by definition: every minimum cut that the
+    subset oracle lists is a vertex star."""
+    return all(is_vertex_star(g, c) is not None for c in enumerate_min_cuts_subset(g).cuts)
 
 
 def test_subset_oracle_gives_a_disconnected_graph_the_empty_cut():
@@ -326,7 +331,7 @@ def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, fault):
     # a max-flow kappa' one off either way changes neither the cut list nor
     # the super edge connectivity check: kappa' comes from the scan
     graphs = (path_graph(4), C6, K4, direct_product(cycle_graph(4), complete_graph(3)))
-    want = [(enumerate_min_cuts(g), is_super_edge_connected(g)) for g in graphs]
+    want = [(enumerate_min_cuts(g), _all_stars(g)) for g in graphs]
     real = mincut.edge_connectivity
 
     def shifted(g):
@@ -334,7 +339,7 @@ def test_cut_list_does_not_trust_max_flow(monkeypatch, shift, fault):
         return dataclasses.replace(res, value=res.value + shift)
 
     monkeypatch.setattr(mincut, "edge_connectivity", shifted)
-    assert [(enumerate_min_cuts_subset(g), is_super_edge_connected(g))
+    assert [(enumerate_min_cuts_subset(g), _all_stars(g))
             for g in graphs] == want, fault
 
 
@@ -350,7 +355,7 @@ def test_cut_list_needs_no_max_flow_kappa(monkeypatch):
 
     def answers():
         return [(edge_connectivity_subset(g), enumerate_min_cuts_subset(g),
-                 is_super_edge_connected(g)) for g in graphs]
+                 _all_stars(g)) for g in graphs]
 
     want = answers()
     assert [cuts for _, cuts, _ in want] == [enumerate_min_cuts(g) for g in graphs]
@@ -689,18 +694,6 @@ def test_is_vertex_star_is_the_least_centre_of_the_cut(g, data):
         assert is_vertex_star(g, [(v, u) for u, v in cut]) == definition(cut)
 
 
-def test_super_edge_connected():
-    assert is_super_edge_connected(K4)
-    assert not is_super_edge_connected(C6)
-    assert is_super_edge_connected(direct_product(cycle_graph(4), complete_graph(3)))
-
-
-def test_super_edge_connected_budget():
-    p = direct_product(cycle_graph(5), K4)
-    with pytest.raises(BudgetExceeded):
-        is_super_edge_connected(p, budget=1000)
-
-
 def test_cut_text_round_trip():
     cut = frozenset({(0, 1), (2, 5)})
     assert format_cut(cut) == "0-1 2-5"
@@ -719,7 +712,8 @@ from tensorcut.graphs import complete_graph, cycle_graph
 from tensorcut.product import direct_product
 g = direct_product(cycle_graph(4), complete_graph(3))
 assert tensorcut.edge_connectivity_subset(g).value == 4
-assert tensorcut.is_super_edge_connected(g)
+assert tensorcut.run_check("corollary2", cycle_graph(4), complete_graph(3),
+                           "subset")["bruteforce"]
 assert "numpy" not in sys.modules, "numpy loaded"
 """
 
