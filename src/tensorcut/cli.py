@@ -92,10 +92,12 @@ def _cmd_kappa(args, reader: _GraphReader) -> int:
         h = reader.read(args.factors[1])
         return _emit_record(run_check("theorem1", g, h, args.oracle, args.budget))
     graph = reader.read(args.graph)
-    if args.oracle == "subset":
-        res = edge_connectivity_subset(graph, args.budget)
-    else:
-        res = edge_connectivity(graph)
+    try:
+        res = (edge_connectivity(graph) if args.oracle == "maxflow"
+               else edge_connectivity_subset(graph, args.budget))
+    except BudgetExceeded:
+        _emit({"oracle": "subset", "kappa": None, "witness": None})
+        return EXIT_CODES["inconclusive"]
     _emit({"oracle": args.oracle, "kappa": res.value, "witness": format_cut(res.witness)})
     return 0
 
@@ -226,9 +228,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, _GraphReader())
-    except BudgetExceeded as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

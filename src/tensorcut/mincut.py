@@ -16,22 +16,24 @@ every minimum cut is delta(S) for one union S of these inseparable groups
 that holds vertex 0 (``_inseparable_groups``).  There are at most min(deg u,
 deg v) such paths, so a vertex of degree delta is a group of its own, and
 only vertices of higher degree are paired.  Two exhaustive scans over
-such unions list every minimum cut:
+such unions find the side S of every minimum cut:
 
-- the side scan (``_side_scan_cuts``) tests all 2**(k-1) unions of the k
+- the side scan (``_side_scan``) tests all 2**(k-1) unions of the k
   groups, many at once in the bit lanes of Python ints;
-- the tree scan (``_tree_scan_cuts``) tests the unions whose boundary
-  crosses at most kappa' edges of a spanning tree of the quotient by the
-  groups.  The fundamental cuts of the tree are a basis of the cut space,
-  so delta(S) is the XOR of the fundamental cuts of the tree edges that it
+- the tree scan (``_tree_scan``) tests the unions whose boundary crosses
+  at most kappa' edges of a spanning tree of the quotient by the groups.
+  The fundamental cuts of the tree are a basis of the cut space, so
+  delta(S) is the XOR of the fundamental cuts of the tree edges that it
   crosses, and a cut of value v crosses at most v of them.
 
 The budget counts the 64-bit words that a scan touches.
 ``_subset_min_cuts`` runs the side scan when it fits, else the tree scan
 when it fits, and raises BudgetExceeded before any scan starts when neither
 does, so an answer depends only on the graph and the budget.
-``edge_connectivity_subset`` answers with the least minimum cut by sorted
-edge list, and ``enumerate_min_cuts_subset`` with all of them.
+
+All three engines return the sides, each holding vertex 0, of the minimum
+cuts; ``_cut_list`` alone turns them into cut edge sets, sorted by sorted
+edge list, for both enumerations and ``edge_connectivity_subset``.
 """
 
 from __future__ import annotations
@@ -132,6 +134,12 @@ def _disconnected_cut(g: Graph) -> Optional[MinCutResult]:
     return None if g.is_connected() else MinCutResult(0, frozenset())
 
 
+def _cut_list(g: Graph, sides: Iterable[int]) -> tuple[frozenset[Edge], ...]:
+    """The cuts delta(S) of vertex ``sides`` (bitmasks), sorted by sorted
+    edge list: every cut list of this module, whichever engine found it."""
+    return tuple(sorted((boundary(g, side) for side in sides), key=sorted))
+
+
 # ---------------------------------------------------------------------------
 # Exact kappa' and all minimum cuts by block flows (Picard-Queyranne).
 
@@ -211,13 +219,10 @@ def enumerate_min_cuts(g: Graph) -> CutEnumeration:
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
     value, attained = _block_flows(g)
-    cuts = []
-    for t, reach, cap in attained:
-        for side in _closed_sides(cap, reach, t):
-            cut = boundary(g, side)
-            assert len(cut) == value
-            cuts.append(cut)
-    return CutEnumeration(tuple(sorted(cuts, key=sorted)))
+    cuts = _cut_list(g, (side for t, reach, cap in attained
+                         for side in _closed_sides(cap, reach, t)))
+    assert all(len(cut) == value for cut in cuts)
+    return CutEnumeration(cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -279,26 +284,26 @@ def _quotient(g: Graph, groups: list[int]) -> tuple[list[int], list[list[int]]]:
     return group, weight
 
 
-def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
-    """Every minimum cut of a connected g with n >= 2, by a scan of the
-    2**(k-1) - 1 proper unions S of the k ``groups`` (``_inseparable_groups``)
-    that hold vertex 0, as sorted by ``sorted``.
+def _side_scan(g: Graph, groups: list[int]) -> list[int]:
+    """The side S, 0 in S, of every minimum cut delta(S) of a connected g
+    with n >= 2, by a scan of the 2**(k-1) - 1 proper unions S of the k
+    ``groups`` (``_inseparable_groups``) that hold vertex 0.
 
     No minimum cut splits a group, and a minimum cut leaves two components,
     so it is delta(S) for exactly one such S.  Each group is a weighted
     element: its degree is |delta(group)|, the weight between two groups the
     number of edges between them, and |delta(S)| = sum of the degrees over S
-    - 2 * the weight inside S; kappa' is the least value.  The weights come
-    from the quotient by the groups (``_quotient``), one pass over the edges,
-    and each degree is a row sum of them; its map of each vertex to its
-    group lists each group's members.  The low groups 0..l-1 are split off:
-    each union A of them that holds group 0 is a lane, a fixed-width field
-    of one int, and the tables of |delta(A)| and of each group's weight to
-    A are built over the lanes by doubling, one low group at a time.  The high groups then join and leave B in Gray-code order,
+    - 2 * the weight inside S; kappa' is the least value.  The weights and
+    each vertex's group come from the quotient by the groups (``_quotient``),
+    one pass over the edges, and each degree is a row sum.  The low groups
+    0..l-1 are split off: each union A of them that holds group 0 is a lane,
+    a fixed-width field of one int, and the tables of |delta(A)| and of each
+    group's weight to A are built over the lanes by doubling, one low group
+    at a time.  The high groups then join and leave B in Gray-code order,
     each move updating every lane's |delta(A | B)| at once, from one popcount
     per member of the group that moves.  The fields are offset by the least
     value so far, with a guard bit on top, so one mask test finds the lanes
-    at or below it; each such lane is mapped back to its vertex set.  With
+    at or below it; each such lane is mapped back to its side.  With
     singleton groups this is the scan of all 2**(n-1) - 1 vertex sides.
     """
     n, adj, k = g.n, g.adjacency_masks, len(groups)
@@ -359,34 +364,34 @@ def _side_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
             state += (best - least) * ones
             best, sides = least, []
         sides.extend(side for value, side in found if value == best)
-    return sorted((boundary(g, side) for side in sides), key=sorted)
+    return sides
 
 
-def _tree_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
-    """Every minimum cut of a connected g with n >= 2, by a scan of the
-    unions S of the k ``groups`` (``_inseparable_groups``) that hold group 0
-    and whose boundary crosses few edges of a spanning tree of the quotient
-    of g by the groups, as sorted by ``sorted``.
+def _tree_scan(g: Graph, groups: list[int]) -> list[int]:
+    """The side S, 0 in S, of every minimum cut delta(S) of a connected g
+    with n >= 2, by a scan of the unions S of the k ``groups``
+    (``_inseparable_groups``) that hold group 0 and whose boundary crosses
+    few edges of a spanning tree of the quotient of g by the groups.
 
-    The edges are the bits of an int, in sorted order.  A group's star is
-    the XOR of its members' incident edges, so its inner edges cancel.  The
-    quotient by the groups (``_quotient``) gives each vertex's group, and
-    each group's neighbours are the groups it has a non-zero weight to.  The
-    quotient has a BFS spanning tree from group 0, and the fundamental cut of
-    a tree edge is delta of the groups below it, the XOR of their stars,
-    summed up the tree in reverse BFS order.  S is matched with the tree
-    edges that it crosses, one subset for each S, and delta(S) is the XOR of
-    their fundamental cuts.  Crossed tree edges join distinct pairs of
-    groups, each by an edge of delta(S), so a cut of value v crosses at most
-    v of them.  So a depth-first search over the subsets of tree edges, in
-    index order, one XOR and one popcount a step, finds every minimum cut
-    when it extends a subset only while the subset has fewer edges than the
-    least value so far, which starts at delta.
+    The edges are the bits of an int, in any fixed order (that of
+    ``g.edges``).  A group's star is the XOR of its members' incident edges,
+    so its inner edges cancel.  The quotient by the groups (``_quotient``)
+    gives each vertex's group, and its non-zero weights the neighbouring
+    groups.  Its BFS spanning tree from group 0 gives each tree edge the
+    groups below it: their vertices, and its fundamental cut, the XOR of
+    their stars, both summed up the tree in reverse BFS order.  S is matched
+    with the tree edges that it crosses, one subset for each S: delta(S) is
+    the XOR of their cuts, and S is all vertices XOR their subtrees, as
+    group 0 is in none.  Crossed tree edges join distinct pairs of groups,
+    each by an edge of delta(S), so a cut of value v crosses at most v of
+    them.  So a depth-first search over the subsets of tree edges, in index
+    order, two XORs and one popcount a step, finds every minimum cut when it
+    extends a subset only while the subset has fewer edges than the least
+    value so far, which starts at delta.
     """
-    edges = sorted(g.edges)
     group, weight = _quotient(g, groups)
-    below = [0] * len(groups)  # per group: its star, then its subtree's cut
-    for bit, (u, v) in enumerate(edges):
+    below, under = [0] * len(groups), list(groups)  # star, members; then subtree's
+    for bit, (u, v) in enumerate(g.edges):
         a, b = group[u], group[v]
         if a != b:
             below[a] ^= 1 << bit
@@ -399,35 +404,29 @@ def _tree_scan_cuts(g: Graph, groups: list[int]) -> list[frozenset[Edge]]:
                 order.append(b)
     for b in reversed(order[1:]):
         below[parent[b]] ^= below[b]
-    tree = [below[b] for b in order[1:]]
+        under[parent[b]] ^= under[b]
+    tree = [(below[b], under[b]) for b in order[1:]]
     best, found = g.min_degree(), []
 
-    def extend(start: int, mask: int, size: int) -> None:
+    def extend(start: int, mask: int, side: int, size: int) -> None:
         nonlocal best, found
         for i in range(start, len(tree)):
-            cut = mask ^ tree[i]
+            cut, verts = mask ^ tree[i][0], side ^ tree[i][1]
             value = cut.bit_count()
             if value <= best:
                 if value < best:
                     best, found = value, []
-                found.append(cut)
+                found.append(verts)
             if size + 1 < best:
-                extend(i + 1, cut, size + 1)
+                extend(i + 1, cut, verts, size + 1)
 
-    extend(0, 0, 0)
-    bits = []  # per cut, its edges' bits in ascending order, as sorted edges are
-    for cut in found:
-        bits.append([])
-        while cut:
-            bits[-1].append((cut & -cut).bit_length() - 1)
-            cut &= cut - 1
-    return [frozenset(edges[bit] for bit in cut) for cut in sorted(bits)]
+    extend(0, 0, (1 << g.n) - 1, 0)
+    return found
 
 
-def _subset_min_cuts(g: Graph, budget: int) -> list[frozenset[Edge]]:
-    """The minimum cuts of a connected g with n >= 2, as sorted by
-    ``sorted``, by the side scan or the tree scan over its k inseparable
-    groups.
+def _subset_min_cuts(g: Graph, budget: int) -> list[int]:
+    """The sides, 0 in each, of the minimum cuts of a connected g with n >=
+    2, by the side scan or the tree scan over its k inseparable groups.
 
     The budget counts the 64-bit words that a scan touches: the side scan
     makes 2**(k-low) Gray-code moves over lanes of ``width`` bits for each of
@@ -442,11 +441,11 @@ def _subset_min_cuts(g: Graph, budget: int) -> list[frozenset[Edge]]:
     low, width = _side_layout(g, k)
     side = (1 << (k - low)) * -(-width * (1 << (low - 1)) // 64)
     if side <= budget:
-        return _side_scan_cuts(g, groups)
+        return _side_scan(g, groups)
     subsets = sum(math.comb(k - 1, j) for j in range(1, g.min_degree() + 1))
     tree = subsets * -(-len(g.edges) // 64)
     if tree <= budget:
-        return _tree_scan_cuts(g, groups)
+        return _tree_scan(g, groups)
     raise BudgetExceeded(f"subset oracle would touch {min(side, tree)} words (budget {budget})")
 
 
@@ -457,7 +456,7 @@ def edge_connectivity_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> MinCutRe
     trivial = _disconnected_cut(g)
     if trivial is not None:
         return trivial
-    witness = _subset_min_cuts(g, budget)[0]
+    witness = _cut_list(g, _subset_min_cuts(g, budget))[0]
     return MinCutResult(len(witness), witness)
 
 
@@ -468,7 +467,7 @@ def enumerate_min_cuts_subset(g: Graph, budget: int = DEFAULT_BUDGET) -> CutEnum
     ``_subset_min_cuts``."""
     if g.n < 2 or not g.is_connected():
         raise ValueError("minimum-cut enumeration requires a connected graph")
-    return CutEnumeration(tuple(_subset_min_cuts(g, budget)))
+    return CutEnumeration(_cut_list(g, _subset_min_cuts(g, budget)))
 
 
 def is_vertex_star(g: Graph, cut: Iterable[Edge]) -> Optional[int]:

@@ -382,7 +382,25 @@ def test_negative_budget_is_bad_input(g6_files, capsys):
     assert "error: enumeration_budget must be >= 0" in capsys.readouterr().err
     # budget 0 is a valid, if tight, budget: the subset oracle is inconclusive
     assert main(["kappa", "--graph", k2, "--oracle", "subset", "--budget", "0"]) == 2
-    assert capsys.readouterr().err.startswith("inconclusive: ")
+    assert capsys.readouterr().err == ""
+
+
+def test_kappa_graph_over_budget_prints_an_inconclusive_payload(g6_files, capsys):
+    # over budget, kappa --graph prints the payload with no answer on stdout,
+    # nothing on stderr, and exits as an inconclusive record does; K_7's side
+    # scan touches 8 words
+    k2 = g6_files("k2.g6", complete_graph(2))
+    k7 = g6_files("k7.g6", complete_graph(7))
+    for graph, budget in ((k2, "0"), (k7, "7")):
+        code = main(["kappa", "--graph", graph, "--oracle", "subset", "--budget", budget])
+        captured = capsys.readouterr()
+        assert code == harness.EXIT_CODES["inconclusive"] == 2
+        assert captured.err == ""
+        assert json.loads(captured.out) == {"oracle": "subset", "kappa": None,
+                                            "witness": None}
+    code, payload = run_json(capsys, ["kappa", "--graph", k7, "--oracle", "subset",
+                                      "--budget", "8"])
+    assert (code, payload["kappa"]) == (0, 6)
 
 
 def test_verify_checks_list_drops_empty_items(capsys):

@@ -48,6 +48,7 @@ def test_dense_precondition_examples():
     assert not dense_precondition(cycle_graph(5))
     assert dense_precondition(exceptional_member(2))  # 8 > 7
     assert not dense_precondition(complete_bipartite_graph(3, 3))
+    assert dense_precondition(Graph(1)) is False  # 2 * 0 > 1 fails
 
 
 def test_kappa_formula_examples():
@@ -73,7 +74,10 @@ def test_kappa_formula_tie_branch():
 
 
 def test_kappa_formula_trivial_and_disconnected_g():
-    assert kappa_formula(Graph(1), K3).value == 0
+    # one vertex has kappa' 0 and delta 0, so both bounds are 0: a tie
+    res = kappa_formula(Graph(1), K3)
+    assert (res.value, res.factor_cut_bound, res.degree_bound, res.branch) == (
+        0, 0, 0, Branch.TIE)
     g = disjoint_union(K2, K2)
     assert kappa_formula(g, K3).value == 0
     assert not direct_product(g, K3).is_connected()

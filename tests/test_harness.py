@@ -374,6 +374,44 @@ def test_missing_cut_certificate_replays_the_check(monkeypatch):
     assert out["certificate"] == cert
 
 
+def test_theorem2_certificate_names_the_least_missing_cut(monkeypatch):
+    # an engine that drops the last two of the 8 predicted stars of P_3 x
+    # K_4: the certificate counts both and names the lesser by sorted edge
+    # list, the star of (2, 3)
+    real = harness.enumerate_min_cuts
+    monkeypatch.setattr(harness, "enumerate_min_cuts",
+                        lambda g: mincut.CutEnumeration(real(g).cuts[:-2]))
+    rec = run_check("theorem2", path_graph(3), complete_graph(4))
+    assert rec == {"kappa": 3, "cuts": 6, "exceptional_pair": False,
+                   "verdicts": {"induced_by_factor_cut": 0, "vertex_star": 6,
+                                "exceptional": 0},
+                   "status": "mismatch",
+                   "certificate": {"check": "theorem2", "g": "Bg", "h": "C~",
+                                   "oracle": "maxflow",
+                                   "expected": "every predicted cut",
+                                   "observed": "2 missing",
+                                   "missing": "1,0 2,3\n1,1 2,3\n1,2 2,3"}}
+    assert replay_certificate(rec["certificate"])["reproduced"]
+
+
+# Blocks joined by a bridge x K_3 reach the factor-cut side of Corollaries 1
+# and 2, which no pair of the desk campaign does: each record under max-flow
+FACTOR_CUT_PAIRS = [
+    # two K_5: kappa' = n(n-1) kappa'(G) = 6, below delta(G)delta(H) = 8
+    ("corollary1", 5, {"n": 3, "kn_value": 6, "formula": 6, "oracle": 6, "status": "ok"}),
+    # two triangles: (n-1) delta(G) = 4 against n(n-1) kappa'(G) = 6
+    ("corollary1", 3, {"n": 3, "kn_value": 4, "formula": 4, "oracle": 4, "status": "ok"}),
+    # two K_4: the tie n kappa'(G) = delta(G) = 3, so not super edge connected
+    ("corollary2", 4, {"n": 3, "bruteforce": False, "predicted": False, "status": "ok"}),
+]
+
+
+@pytest.mark.parametrize("check, block, record", FACTOR_CUT_PAIRS,
+                         ids=[f"{c}-bridged-K{b}" for c, b, _ in FACTOR_CUT_PAIRS])
+def test_factor_cut_branch_records(check, block, record):
+    assert run_check(check, bridged(complete_graph(block)), complete_graph(3)) == record
+
+
 def test_weichsel_check_covers_bipartite_pairs():
     cfg = CampaignConfig(max_g_order=2, max_h_order=4, checks=("weichsel",))
     report = run_campaign(cfg)
@@ -724,6 +762,10 @@ def _drop_last_cut(real):
     return dropped
 
 
+def _no_cuts(real):
+    return lambda g: mincut.CutEnumeration(())
+
+
 def _last_cut_shrunk(real):
     # fewer than kappa' edges never disconnect, so the engine lists a non-cut
     def shrunk(g):
@@ -773,6 +815,8 @@ FAULTS = [
     # an engine that drops a cut leaves a predicted cut missing
     ("theorem2", "enumerate_min_cuts", _drop_last_cut, 6, 6,
      ("every predicted cut", "1 missing", {"missing": "0,2 1,0\n0,2 1,1"})),
+    # an engine that lists no cut reads as kappa' 0, not as an exception
+    ("theorem2", "enumerate_min_cuts", _no_cuts, 6, 6, (2, 0, {})),
     # an engine that lists fewer than kappa' edges lowers kappa' below the
     # closed form
     ("theorem2", "enumerate_min_cuts", _last_cut_shrunk, 6, 6, (2, 1, {})),
@@ -848,20 +892,21 @@ def test_lemma2_fault_records_the_flows_it_ran(monkeypatch):
 
 
 def test_side_scan_fault_is_certified_under_the_subset_oracle(monkeypatch):
-    # a side scan that drops the least edge of each cut lowers kappa' below
-    # the closed form on every product of G 2..3 x dense H 3..4, since the
-    # side scan fits all of them, and each certificate replays under the fault
-    real = mincut._side_scan_cuts
+    # a side scan that also lists the whole vertex set, whose cut is empty,
+    # lowers kappa' to 0 below the closed form on every product of G 2..3 x
+    # dense H 3..4, since the side scan fits all of them, and each
+    # certificate replays under the fault
+    real = mincut._side_scan
 
-    def dropped(g, groups):
-        return [cut - {min(cut)} for cut in real(g, groups)]
+    def whole(g, groups):
+        return [*real(g, groups), (1 << g.n) - 1]
 
-    monkeypatch.setattr(mincut, "_side_scan_cuts", dropped)
+    monkeypatch.setattr(mincut, "_side_scan", whole)
     report = run_campaign(CampaignConfig(max_g_order=3, max_h_order=4,
                                          checks=("theorem1",), oracle="subset"))
     assert len(report.records) == 6
     assert report.summary["mismatches"] == 6
     certs = [r["certificate"] for r in report.records]
     assert certs[0] == {"check": "theorem1", "g": "A_", "h": "Bw", "oracle": "subset",
-                        "expected": 2, "observed": 1}
+                        "expected": 2, "observed": 0}
     assert all(replay_certificate(cert)["reproduced"] for cert in certs)

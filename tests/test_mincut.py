@@ -85,8 +85,9 @@ def test_min_st_cut_matches_networkx(g, data):
 
 
 def test_min_st_cut_rejects_bad_terminals():
-    for s, t in ((0, 0), (0, 4), (-1, 2)):
-        with pytest.raises(ValueError):
+    # either terminal at |G| or below 0, or the two equal, is bad input
+    for s, t in ((0, 0), (0, 4), (4, 0), (-1, 2)):
+        with pytest.raises(ValueError, match="need two distinct vertices of 0..3"):
             min_st_cut(K4, s, t)
 
 
@@ -186,6 +187,17 @@ def scan_costs(g):
             "tree": subsets * math.ceil(m / 64)}
 
 
+def scan_cuts(scan, g, groups=None):
+    """The cuts of the sides that a subset scan (``mincut._side_scan`` or
+    ``mincut._tree_scan``) returns on g, built by ``boundary`` and sorted by
+    sorted edge list here; each side holds vertex 0, and none repeats."""
+    if groups is None:
+        groups = mincut._inseparable_groups(g)
+    sides = scan(g, groups)
+    assert all(side & 1 for side in sides) and len(set(sides)) == len(sides), g
+    return tuple(sorted((boundary(g, side) for side in sides), key=sorted))
+
+
 def chosen_scan(g, budget):
     """The scan that the subset oracle runs on g: the side scan if its words
     fit the budget, else the tree scan if its words do; None when neither
@@ -266,7 +278,7 @@ def test_oracle_runs_the_side_scan_when_it_fits(monkeypatch):
     # graph on 2..7 vertices and on C_26, where the budgets between its two
     # word counts fit the tree scan alone, at the edges of both word counts
     ran = []
-    for name in ("_side_scan_cuts", "_tree_scan_cuts"):
+    for name in ("_side_scan", "_tree_scan"):
         monkeypatch.setattr(mincut, name, lambda g, groups, name=name: ran.append(name) or [])
     routes = set()
     for g in [g for n in range(2, 8) for g in connected_graphs(n)] + [cycle_graph(26)]:
@@ -280,7 +292,7 @@ def test_oracle_runs_the_side_scan_when_it_fits(monkeypatch):
                 assert ran == [], (g, budget)
             else:
                 mincut._subset_min_cuts(g, budget)
-                assert ran == [f"_{want}_scan_cuts"], (g, budget)
+                assert ran == [f"_{want}_scan"], (g, budget)
             routes.add((want, tuple(name for name, words in costs.items() if words <= budget)))
     assert routes == {(None, ()), ("side", ("side",)), ("tree", ("tree",)),
                       ("side", ("side", "tree"))}
@@ -295,7 +307,7 @@ def test_tree_scan_on_multiword_masks():
     for g in (cycle_graph(70), chorded):
         assert chosen_scan(g, mincut.DEFAULT_BUDGET) == "tree"
         cuts = enumerate_min_cuts(g).cuts
-        assert mincut._tree_scan_cuts(g, mincut._inseparable_groups(g)) == list(cuts)
+        assert scan_cuts(mincut._tree_scan, g) == cuts
         assert edge_connectivity_subset(g) == mincut.MinCutResult(2, cuts[0])
 
 
@@ -588,11 +600,11 @@ def test_side_scan_matches_max_flow_enumeration():
     # groups with delta 12 or 16, 9.7 to 16 million subsets each
     skipped = 0
     for g, groups, cuts in _catalog_and_desk_cuts():
-        assert mincut._side_scan_cuts(g, groups) == list(cuts), g
+        assert scan_cuts(mincut._side_scan, g, groups) == cuts, g
         if scan_costs(g)["tree"] > mincut.DEFAULT_BUDGET:
             skipped += 1
             continue
-        assert mincut._tree_scan_cuts(g, groups) == list(cuts), g
+        assert scan_cuts(mincut._tree_scan, g, groups) == cuts, g
     assert skipped == 5
 
 
@@ -601,9 +613,9 @@ def test_side_scan_matches_max_flow_enumeration():
 def test_grouped_side_scan_matches_max_flow_enumeration(g):
     groups = mincut._inseparable_groups(g)
     assert len(groups) == group_count(g)
-    cuts = list(enumerate_min_cuts(g).cuts)
-    assert mincut._side_scan_cuts(g, groups) == cuts
-    assert mincut._tree_scan_cuts(g, groups) == cuts
+    cuts = enumerate_min_cuts(g).cuts
+    assert scan_cuts(mincut._side_scan, g, groups) == cuts
+    assert scan_cuts(mincut._tree_scan, g, groups) == cuts
 
 
 @settings(max_examples=100, deadline=None)

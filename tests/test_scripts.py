@@ -83,13 +83,15 @@ def test_benchmark_tracer_names_resolve():
     assert set(getattr(sys.modules[module], name)) == set(tracer.CHECK_NAMES)
 
 
-def test_benchmark_tracer_runs_a_campaign():
+@pytest.mark.parametrize("oracle", ["maxflow", "subset"])
+def test_benchmark_tracer_runs_a_campaign(oracle):
     # a moved entry point or a changed result type breaks the traced run
-    # that the benchmark makes, so one small campaign runs traced here
+    # that the benchmark makes, so one small campaign runs traced here under
+    # each oracle; the benchmark's `oracle` workload takes the subset path
     from tensorcut import harness, mincut
 
     config = harness.CampaignConfig(max_g_order=3, max_h_order=4,
-                                    checks=harness.CHECK_NAMES)
+                                    checks=harness.CHECK_NAMES, oracle=oracle)
 
     def records():
         return [{k: v for k, v in rec.items() if k != "ms"}
@@ -104,7 +106,10 @@ def test_benchmark_tracer_runs_a_campaign():
         tracer.uninstall()
     assert traced == untraced
     metrics = tracer.metrics()
-    for counter in ("mincut.star.calls", "mincut.enum.calls", "product.calls"):
+    # under subset, no pair of G <= 3 x H <= 4 calls the max-flow enumeration
+    counters = {"maxflow": ("mincut.star.calls", "mincut.enum.calls", "product.calls"),
+                "subset": ("mincut.star.calls", "product.calls")}[oracle]
+    for counter in counters:
         assert metrics[counter] > 0, counter
     assert harness.enumerate_min_cuts is mincut.enumerate_min_cuts
     assert not any(hasattr(fn, "__wrapped__") for fn in harness._CHECK_FUNCS.values())
